@@ -5,8 +5,9 @@
     cepde corpus --file corpus.json [--seed S] [--out PATH]
 
 Exit codes: 0 classified consistently / corpus matches, 1 usage or parse
-error (and corpus schema violations), 2 inconclusive, 3 internal criterion
-disagreement, 4 corpus expectation mismatch.
+error (and corpus schema violations, n outside 2..4), 2 inconclusive, 3
+internal criterion disagreement, 4 corpus expectation mismatch (a corpus
+entry without a verdict is recorded as inconclusive and counts as one).
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from pathlib import Path
 from . import __version__
 from .expr import ParseError, parse
 from .report import (EXIT_CORPUS_MISMATCH, EXIT_INCONCLUSIVE, EXIT_USAGE,
-                     MA_FAMILY, OVERALL_EXCEPTIONAL, canonical_json,
-                     classify_pde, entry_seed, pretty_report)
+                     MA_FAMILY, OVERALL_EXCEPTIONAL, OVERALL_INCONCLUSIVE,
+                     canonical_json, classify_pde, entry_seed, pretty_report)
 from .symbol import SamplingError
+from .tensor import MAX_N, MIN_N
 
 CLASSIFICATION_TOKENS = ("linear", "quasi-linear", "monge-ampere", "non-ma")
 
@@ -85,6 +87,10 @@ def _caret_message(exc: ParseError) -> str:
 
 
 def run_classify(args) -> int:
+    if not MIN_N <= args.n <= MAX_N:
+        print(f"error: dimension n must be in {MIN_N}..{MAX_N}, got {args.n}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         parse(args.pde, args.n)
     except ParseError as exc:
@@ -140,8 +146,8 @@ def validate_corpus(entries) -> list[str]:
             seen.add(name)
             where = f"entry {name!r}"
         n = entry.get("n")
-        if not isinstance(n, int) or n < 2:
-            problems.append(f"{where}: 'n' must be an integer >= 2")
+        if not isinstance(n, int) or not MIN_N <= n <= MAX_N:
+            problems.append(f"{where}: 'n' must be an integer in {MIN_N}..{MAX_N}")
             continue
         expression = entry.get("expression")
         if not isinstance(expression, str):
@@ -182,30 +188,40 @@ def run_corpus(args) -> int:
     total_time = 0.0
     for entry in entries:
         seed = entry_seed(args.seed, entry["name"])
-        outcome = classify_pde(entry["expression"], entry["n"], seed=seed)
-        total_time += outcome.duration
-        actual_cls = outcome.report["monge_ampere"]["classification"]
-        actual_exc = outcome.report["exceptionality"]["verdict"] == "exceptional"
-        ok = (actual_cls == entry["expected_classification"]
-              and actual_exc == entry["expected_exceptional"]
-              and (outcome.report["overall_verdict"] == OVERALL_EXCEPTIONAL)
-              == (actual_cls in MA_FAMILY))
-        if not ok:
-            mismatches.append(
-                f"{entry['name']}: expected "
-                f"({entry['expected_classification']}, "
-                f"exceptional={entry['expected_exceptional']}) got "
-                f"({actual_cls}, exceptional={actual_exc}, "
-                f"verdict={outcome.report['overall_verdict']!r})")
+        try:
+            outcome = classify_pde(entry["expression"], entry["n"], seed=seed)
+        except SamplingError as exc:
+            # no verdict: the entry is inconclusive and cannot match
+            report, ok = None, False
+            actual = {"classification": None, "exceptional": None,
+                      "overall_verdict": OVERALL_INCONCLUSIVE}
+            mismatches.append(f"{entry['name']}: inconclusive: {exc}")
+        else:
+            total_time += outcome.duration
+            report = outcome.report
+            actual_cls = report["monge_ampere"]["classification"]
+            actual_exc = report["exceptionality"]["verdict"] == "exceptional"
+            actual = {"classification": actual_cls, "exceptional": actual_exc,
+                      "overall_verdict": report["overall_verdict"]}
+            ok = (actual_cls == entry["expected_classification"]
+                  and actual_exc == entry["expected_exceptional"]
+                  and (report["overall_verdict"] == OVERALL_EXCEPTIONAL)
+                  == (actual_cls in MA_FAMILY))
+            if not ok:
+                mismatches.append(
+                    f"{entry['name']}: expected "
+                    f"({entry['expected_classification']}, "
+                    f"exceptional={entry['expected_exceptional']}) got "
+                    f"({actual_cls}, exceptional={actual_exc}, "
+                    f"verdict={report['overall_verdict']!r})")
         results.append({
             "name": entry["name"],
             "expected": {"classification": entry["expected_classification"],
                          "exceptional": entry["expected_exceptional"]},
-            "actual": {"classification": actual_cls, "exceptional": actual_exc,
-                       "overall_verdict": outcome.report["overall_verdict"]},
+            "actual": actual,
             "match": ok,
             "seed": seed,
-            "report": outcome.report,
+            "report": report,
         })
     aggregate = {
         "tool": "cepde",

@@ -84,15 +84,15 @@ def _draw_hessian_values(F: Expr, base: BasePoint, rng, m: int
 
 
 def _design_matrix(hmat: np.ndarray, n: int) -> np.ndarray:
-    basis = minor_basis(n)
+    """Minor-basis rows of the symmetric Hessians whose upper triangles are
+    the rows of hmat."""
     pairs = hessian_pairs(n)
-    rows = []
-    for hrow in hmat:
-        H = np.zeros((n, n))
-        for k, (i, j) in enumerate(pairs):
-            H[i - 1, j - 1] = H[j - 1, i - 1] = hrow[k]
-        rows.append(basis.evaluate(H))
-    return np.array(rows)
+    i = [p[0] - 1 for p in pairs]
+    j = [p[1] - 1 for p in pairs]
+    H = np.zeros((len(hmat), n, n))
+    # each upper-triangle entry goes to (i, j) and to (j, i)
+    H[:, i + j, j + i] = np.concatenate([hmat, hmat], axis=1)
+    return minor_basis(n).evaluate(H)
 
 
 def fit_minor_expansion(F: Expr, base: BasePoint, seed: int = 0) -> MACoefficients:
@@ -104,10 +104,10 @@ def fit_minor_expansion(F: Expr, base: BasePoint, seed: int = 0) -> MACoefficien
     rng = np.random.default_rng(seed)
     h_train, f_train = _draw_hessian_values(F, base, rng, m)
     h_val, f_val = _draw_hessian_values(F, base, rng, m)
-    design = _design_matrix(h_train, n)
-    coeffs, *_ = np.linalg.lstsq(design, f_train, rcond=None)
-    fit_residual = float(np.max(np.abs(design @ coeffs - f_train)))
-    val_pred = _design_matrix(h_val, n) @ coeffs
+    design = _design_matrix(np.concatenate([h_train, h_val]), n)
+    coeffs, *_ = np.linalg.lstsq(design[:m], f_train, rcond=None)
+    fit_residual = float(np.max(np.abs(design[:m] @ coeffs - f_train)))
+    val_pred = design[m:] @ coeffs
     validation_residual = float(np.max(np.abs(val_pred - f_val)))
     validation_scale = float(np.max(np.abs(f_val)))
     return MACoefficients(base, tuple(float(c) for c in coeffs),

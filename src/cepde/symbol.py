@@ -16,8 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import backend
-from .expr import (Expr, JetPoint, differentiate, hessian_name, hessian_pairs,
-                   jetpoint_from_vector, variable_layout)
+from .expr import (EvaluationDomainError, Expr, JetPoint, differentiate,
+                   hessian_name, hessian_pairs, jetpoint_from_vector,
+                   variable_layout)
 from .tensor import (QuadraticForm, QuarticForm, _quartic_index, factor_quartic,
                      quadratic_pairs, quartic_combos)
 
@@ -57,12 +58,19 @@ def _second_partials(F: Expr, n: int) -> tuple[tuple[int, int, Expr], ...]:
     return tuple(out)
 
 
+def _finite(value: float, d: Expr) -> float:
+    if not np.isfinite(value):
+        raise EvaluationDomainError("non-finite symbol coefficient", d)
+    return value
+
+
 def principal_symbol(F: Expr, pt: JetPoint) -> QuadraticForm:
     """S(xi) = sum_{i<=j} (dF/du_ij)(pt) xi_i xi_j, the derivative at t = 0
     of t -> F(pt with H + t xi xi^T)."""
     n = pt.n
     vec = pt.to_vector()
-    coeffs = [backend.eval_vector(d, n, vec) for d in _first_partials(F, n)]
+    coeffs = [_finite(backend.eval_vector(d, n, vec), d)
+              for d in _first_partials(F, n)]
     return QuadraticForm(n, coeffs)
 
 
@@ -75,7 +83,7 @@ def second_symbol(F: Expr, pt: JetPoint) -> QuarticForm:
     index = _quartic_index(n)
     out = np.zeros(len(quartic_combos(n)))
     for p1, p2, dd in _second_partials(F, n):
-        val = backend.eval_vector(dd, n, vec)
+        val = _finite(backend.eval_vector(dd, n, vec), dd)
         if val == 0.0:
             continue
         i, j = pairs[p1]
@@ -251,9 +259,27 @@ def exceptionality_at_point(F: Expr, pt: JetPoint, tol: float = DEFAULT_TOL
 def is_completely_exceptional(F: Expr, n: int, box=DEFAULT_BOX,
                               count: int = DEFAULT_COUNT, seed: int = 0,
                               tol: float = DEFAULT_TOL) -> ExceptionalityVerdict:
-    """Run the divisibility test over a sampled zero locus and aggregate."""
+    """Run the divisibility test over a sampled zero locus and aggregate.
+
+    A sample where a symbol coefficient fails to evaluate or overflows, or
+    where the divisibility residual overflows, cannot be tested and is
+    dropped like a failed draw; SamplingError is raised when fewer than
+    count/2 testable samples remain.
+    """
     points = sample_zero_locus(F, n, box=box, count=count, seed=seed)
-    records = tuple(exceptionality_at_point(F, pt, tol) for pt in points)
+    records = []
+    for pt in points:
+        try:
+            record = exceptionality_at_point(F, pt, tol)
+        except EvaluationDomainError:
+            continue
+        if np.isfinite(record.residual):
+            records.append(record)
+    if len(records) < count / 2:
+        raise SamplingError(
+            f"only {len(records)} of {len(points)} zero-locus samples give "
+            "finite symbols and residuals; too few to test divisibility")
+    records = tuple(records)
     if all(r.passed for r in records):
         verdict = "exceptional"
     elif any(not r.passed and r.residual > 10.0 * tol for r in records):

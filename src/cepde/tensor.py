@@ -15,6 +15,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+# dimensions the minor basis (and so the Monge-Ampere fit) covers
+MIN_N, MAX_N = 2, 4
 
 
 @lru_cache(maxsize=32)
@@ -188,6 +190,15 @@ def multiply_quadratics(a: QuadraticForm, b: QuadraticForm) -> QuarticForm:
     return QuarticForm(n, out)
 
 
+@lru_cache(maxsize=32)
+def _product_index(n: int) -> np.ndarray:
+    """Entry [a, b]: the quartic_combos slot of the product of the monomials
+    of quadratic pairs a and b."""
+    index = _quartic_index(n)
+    pairs = quadratic_pairs(n)
+    return np.array([[index[tuple(sorted(p + q))] for q in pairs] for p in pairs])
+
+
 def factor_quartic(q: QuarticForm, s: QuadraticForm, tol: float
                    ) -> tuple[QuadraticForm | None, float]:
     """Divisibility test q ?= g * s, solved as linear least squares over the
@@ -203,13 +214,11 @@ def factor_quartic(q: QuarticForm, s: QuadraticForm, tol: float
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = q.n
-    pairs = quadratic_pairs(n)
-    cols = []
-    for col in range(len(pairs)):
-        unit = np.zeros(len(pairs))
-        unit[col] = 1.0
-        cols.append(multiply_quadratics(QuadraticForm(n, unit), s).coeffs)
-    M = np.column_stack(cols)
+    # column c holds the coefficients of (unit form c) * s; +0.0 turns -0.0
+    # into 0.0, as multiply_quadratics leaves zero coefficients
+    npairs = len(quadratic_pairs(n))
+    M = np.zeros((len(quartic_combos(n)), npairs))
+    M[_product_index(n), np.arange(npairs)[:, None]] = s.coeffs + 0.0
     g, *_ = np.linalg.lstsq(M, q.coeffs, rcond=None)
     residual = float(np.linalg.norm(M @ g - q.coeffs) / max(np.linalg.norm(q.coeffs), _EPS))
     if residual <= tol:
@@ -283,9 +292,6 @@ class MinorDescriptor:
         fmt = lambda t: "".join(str(i + 1) for i in t)
         return f"m{self.k}[{fmt(self.rows)}|{fmt(self.cols)}]"
 
-    def evaluate(self, A: np.ndarray) -> float:
-        return _det(A[np.ix_(self.rows, self.cols)])
-
 
 class MinorBasis:
     """All deduplicated minors of an n x n symmetric matrix, grouped by order
@@ -294,15 +300,25 @@ class MinorBasis:
     order matches pluecker_embed coordinate for coordinate."""
 
     def __init__(self, n: int):
-        if not 2 <= n <= 4:
-            raise ValueError("minor basis supports 2 <= n <= 4")
+        if not MIN_N <= n <= MAX_N:
+            raise ValueError(f"minor basis supports {MIN_N} <= n <= {MAX_N}")
         self.n = n
         descriptors = []
+        # per order k >= 1: the basis slice and the (g, k, 1) row and (g, 1, k)
+        # column index arrays that gather all g k x k submatrices at once
+        self._orders = []
         for k in range(n + 1):
             subsets = list(combinations(range(n), k))
+            start = len(descriptors)
             for r, I in enumerate(subsets):
                 for J in subsets[r:]:
                     descriptors.append(MinorDescriptor(k, I, J))
+            if k:
+                group = descriptors[start:]
+                self._orders.append(
+                    (k, slice(start, len(descriptors)),
+                     np.array([d.rows for d in group])[:, :, None],
+                     np.array([d.cols for d in group])[:, None, :]))
         self.descriptors: tuple[MinorDescriptor, ...] = tuple(descriptors)
 
     def __len__(self) -> int:
@@ -312,10 +328,25 @@ class MinorBasis:
         return tuple(d.label() for d in self.descriptors)
 
     def evaluate(self, A) -> np.ndarray:
+        """Minors of A, or of each matrix of a stack A of shape (..., n, n);
+        the basis runs along the last axis of the result.  Order 2 uses the
+        closed form of _det and orders >= 3 one stacked np.linalg.det, so
+        each value equals _det of the submatrix bit for bit."""
         A = np.asarray(A, dtype=float)
-        if A.shape != (self.n, self.n):
+        if A.shape[-2:] != (self.n, self.n):
             raise ValueError("matrix dimension mismatch")
-        return np.array([d.evaluate(A) for d in self.descriptors])
+        out = np.empty(A.shape[:-2] + (len(self),))
+        out[..., 0] = 1.0
+        for k, where, rows, cols in self._orders:
+            sub = A[..., rows, cols]  # (..., g, k, k)
+            if k == 1:
+                out[..., where] = sub[..., 0, 0]
+            elif k == 2:
+                out[..., where] = (sub[..., 0, 0] * sub[..., 1, 1]
+                                   - sub[..., 0, 1] * sub[..., 1, 0])
+            else:
+                out[..., where] = np.linalg.det(sub)
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -326,17 +357,14 @@ def minor_basis(n: int) -> MinorBasis:
 def pluecker_embed(A) -> np.ndarray:
     """Projective coordinates [(A^(0), A^(1), ..., A^(n))]: the concatenated
     upper-triangular entries (row-major) of every compound, leading
-    coordinate 1.  Coordinates equal minor_basis(n).evaluate(A)."""
+    coordinate 1.  These are the minor_basis(n) minors of A."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if not 2 <= n <= 4:
-        raise ValueError("pluecker_embed supports 2 <= n <= 4")
-    coords = []
-    for k in range(n + 1):
-        C = compound(A, k)
-        m = C.shape[0]
-        coords.extend(C[r, c] for r in range(m) for c in range(r, m))
-    return np.array(coords)
+    if A.shape != (n, n):
+        raise ValueError("A must be square")
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"pluecker_embed supports {MIN_N} <= n <= {MAX_N}")
+    return minor_basis(n).evaluate(A)
 
 
 def lie_quadric_residual(z) -> float:

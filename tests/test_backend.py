@@ -26,7 +26,33 @@ EXPRS = [
     "log(u)",
     "sqrt(u1)",
     "u^0 + u11^7",
+    # rows that fail at the division or the sqrt must never reach log or
+    # sin, where math.log(-inf) or math.log(nan) would be evaluated
+    "log(-1/u11) + sin(sqrt(u1) - 1)",
+    # a row that failed at sqrt or log keeps that instruction as its error
+    # when a later check fails too
+    "sqrt(u1)*log(u)/u11",
+    "sin(exp(400*u11)) + cos(exp(u22^3)) + tanh(log(u))",
 ]
+
+
+def _rows(rng, count=200):
+    """Random jet points, with exact zeros and ties planted so that every
+    domain check of the EXPRS tapes fails on some rows."""
+    layout = variable_layout(2)
+    mat = np.array([random_jetpoint(rng, 2).to_vector() for _ in range(count)])
+    u11, u22, u = (layout.index(v) for v in ("u11", "u22", "u"))
+    mat[:40, u11] = 0.0
+    mat[20:60, u22] = mat[20:60, u11]
+    mat[60:80, u] = 0.0
+    mat[80:90, u11] = 1.9  # exp(400*u11) overflows
+    return mat
+
+
+def _same_bits(x, y) -> bool:
+    nan = np.isnan(x)
+    return (np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
 
 
 def _scalar(impl, tape, vec):
@@ -66,6 +92,21 @@ class TestBackendAgreement:
         ok = errs[0] < 0
         assert np.array_equal(outs[0][ok], outs[1][ok])
         assert np.all(np.isnan(outs[0][~ok]))
+
+
+@pytest.mark.parametrize("text", EXPRS)
+def test_column_batch_matches_scalar_rows(text, rng):
+    # the pure column executor against the pure scalar path, row by row:
+    # same bits of every value and the same first failing instruction
+    tape = compile_expr(parse(text, 2), 2)
+    mat = _rows(rng)
+    out = np.empty(len(mat))
+    errs = np.empty(len(mat), dtype=np.int32)
+    _evalpure.eval_batch(tape.codes, tape.a, tape.b, tape.consts, mat, out,
+                         errs, np.empty(len(tape)))
+    scalar = [_scalar(_evalpure, tape, row) for row in mat]
+    assert np.array_equal(errs, [err for _, err in scalar]), text
+    assert _same_bits(out, np.array([value for value, _ in scalar])), text
 
 
 @pytest.mark.parametrize("name,impl", BACKENDS)

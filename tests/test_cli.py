@@ -68,6 +68,27 @@ class TestClassifyCommand:
         assert e == Unary("exp", Const(1296.0))
         assert parse(to_text(e), 2) == e
 
+    def test_sin_of_overflowing_exp_has_exit_code(self, capsys, tmp_path):
+        # exp(400*u11) is inf for u11 >= 1.7725, and sin(inf) is nan as in
+        # C; the 2-jet of F overflows at some locus samples, which are then
+        # dropped.  Seed 1 ends in a criterion disagreement (exit 3).
+        schema = json.loads(SCHEMA_PATH.read_text())
+        for seed in ("0", "1"):
+            out = tmp_path / f"r{seed}.json"
+            code = run(["classify", "--pde", "sin(exp(400*u11)) + u22",
+                        "--n", "2", "--seed", seed, "--out", str(out)])
+            assert code in (0, 1, 2, 3, 4)
+            if code != 2:
+                jsonschema.validate(json.loads(out.read_text()), schema)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unsupported_n_rejected_up_front(self, capsys):
+        for n in ("1", "5"):
+            code = run(["classify", "--pde", "u11 + u22", "--n", n])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: dimension n must be in 2..4, got {n}"]
+
     def test_pretty_output(self, capsys):
         code = run(["classify", "--pde", "u11-u22", "--n", "2", "--pretty"])
         captured = capsys.readouterr()
@@ -148,6 +169,24 @@ class TestCorpusCommand:
         assert run(["corpus", "--file", str(f)]) == 1
         assert "does not parse" in capsys.readouterr().err
 
+    def test_entry_without_zero_locus_is_inconclusive(self, capsys, tmp_path):
+        entries = json.loads(Path(bundled_corpus_path()).read_text())[:1]
+        entries.insert(0, {"name": "no-locus", "n": 2, "expression": "u11^2 + 1",
+                           "expected_classification": "non-ma",
+                           "expected_exceptional": False})
+        f = tmp_path / "no_locus.json"
+        f.write_text(json.dumps(entries))
+        out = tmp_path / "agg.json"
+        code = run(["corpus", "--file", str(f), "--out", str(out)])
+        assert code == 4
+        assert "mismatch: no-locus: inconclusive" in capsys.readouterr().err
+        agg = json.loads(out.read_text())
+        assert agg["entry_count"] == 2 and agg["matched"] == 1
+        first, second = agg["entries"]
+        assert first["report"] is None and first["match"] is False
+        assert first["actual"]["overall_verdict"] == "inconclusive"
+        assert second["match"] is True  # the run went on past the first entry
+
     def test_resolve_prefers_real_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         shutil.copy(bundled_corpus_path(), tmp_path / "bundled.json")
@@ -164,6 +203,14 @@ class TestValidateCorpus:
     def test_rejects_non_list(self):
         assert validate_corpus({"name": "x"})
         assert validate_corpus([])
+
+    @pytest.mark.parametrize("n", [1, 5, 2.0])
+    def test_rejects_unsupported_n(self, n):
+        entry = {"name": "e", "n": n, "expression": "u11 + u22",
+                 "expected_classification": "linear",
+                 "expected_exceptional": True}
+        assert validate_corpus([entry]) == [
+            "entry 'e': 'n' must be an integer in 2..4"]
 
 
 class TestVerdictCombination:

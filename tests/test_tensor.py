@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cepde.tensor import (QuadraticForm, QuarticForm, adjugate, compound,
-                          factor_quartic, lie_quadric_residual, minor_basis,
-                          multiply_quadratics, pluecker_embed, rank_one_deform)
+from cepde.tensor import (QuadraticForm, QuarticForm, _det, adjugate,
+                          compound, factor_quartic, lie_quadric_residual,
+                          minor_basis, multiply_quadratics, pluecker_embed,
+                          rank_one_deform)
 from oracles import long_division_remainder
 
 
@@ -203,6 +204,23 @@ class TestMinorBasis:
         with pytest.raises(ValueError):
             minor_basis(5)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_evaluation_is_bitwise_per_minor(self, rng, n):
+        # a (5, 4, n, n) stack against _det of each np.ix_ submatrix
+        basis = minor_basis(n)
+        stack = np.array([[rand_sym(rng, n) for _ in range(4)] for _ in range(5)])
+        got = basis.evaluate(stack)
+        assert got.shape == (5, 4, len(basis))
+        for idx in np.ndindex(5, 4):
+            A = stack[idx]
+            want = [_det(A[np.ix_(d.rows, d.cols)]) for d in basis.descriptors]
+            assert np.array_equal(got[idx], want)
+            assert np.array_equal(basis.evaluate(A), want)
+
+    def test_evaluate_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            minor_basis(3).evaluate(np.eye(2))
+
     def test_degree_group_sizes(self):
         from math import comb
 
@@ -226,7 +244,21 @@ class TestPlueckerEmbed:
     def test_matches_minor_basis(self, rng):
         for n in (2, 3, 4):
             A = rand_sym(rng, n)
-            assert pluecker_embed(A) == pytest.approx(minor_basis(n).evaluate(A))
+            assert np.array_equal(pluecker_embed(A), minor_basis(n).evaluate(A))
+
+    def test_matches_compound_upper_triangles(self, rng):
+        # bit for bit the concatenated upper triangles of every compound
+        for n in (2, 3, 4):
+            for _ in range(50):
+                A = rand_sym(rng, n)
+                want = [C[r, c] for k in range(n + 1) for C in [compound(A, k)]
+                        for r in range(len(C)) for c in range(r, len(C))]
+                assert np.array_equal(pluecker_embed(A), want)
+
+    def test_rejects_unsupported_shapes(self):
+        for A in (np.eye(5), np.ones((2, 3)), np.ones(4)):
+            with pytest.raises(ValueError):
+                pluecker_embed(A)
 
 
 class TestLieQuadric:
@@ -278,6 +310,26 @@ class TestRankOneDeform:
             resid = np.linalg.norm(zs[0] - 2.0 * zs[1] + zs[2])
             scale = 1.0 + max(np.linalg.norm(z) for z in zs)
             assert resid <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_factor_quartic_matches_product_columns(rng, n):
+    # the solve is bit for bit the one on columns (unit form) * s built by
+    # multiply_quadratics, also when s has zero and -0.0 coefficients
+    m = n * (n + 1) // 2
+    for _ in range(20):
+        c = rng.uniform(-2, 2, size=m)
+        c[rng.random(m) < 0.3] = 0.0
+        c[rng.random(m) < 0.2] = -0.0
+        s = QuadraticForm(n, c)
+        q = QuarticForm(n, rng.uniform(-1, 1, size=len(QuarticForm.zero(n).coeffs)))
+        cols = [multiply_quadratics(QuadraticForm(n, np.eye(m)[k]), s).coeffs
+                for k in range(m)]
+        M = np.column_stack(cols)
+        g, *_ = np.linalg.lstsq(M, q.coeffs, rcond=None)
+        residual = np.linalg.norm(M @ g - q.coeffs) / np.linalg.norm(q.coeffs)
+        got, got_residual = factor_quartic(q, s, 10.0)
+        assert np.array_equal(got.coeffs, g) and got_residual == residual
 
 
 @given(st.integers(2, 3), st.data())
