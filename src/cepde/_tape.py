@@ -1,16 +1,14 @@
-"""Flat instruction tapes: the compilation target shared by both evaluator
-backends (Cython `_evalcore` and pure-Python `_evalpure`).
+"""Flat instruction tapes: the compilation target of the evaluator in
+`backend`.
 
 Each instruction writes one register; common subexpressions are merged, so a
-tape is usually much smaller than its source tree.  Opcode numbering must
-stay in sync with `_evalcore.pyx`.
+tape is usually much smaller than its source tree.  A tape is plain tuples of
+Python ints and floats, which both of the evaluator's paths index directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .expr import Binary, Const, Expr, Power, Unary, Var, variable_layout
 
@@ -33,7 +31,7 @@ _UNARY_OPS = {"neg": OP_NEG, "sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP,
               "log": OP_LOG, "sqrt": OP_SQRT, "tanh": OP_TANH}
 _BINARY_OPS = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}
 
-# error kinds reported by the kernels, keyed by failing opcode
+# error kinds reported by the evaluator, keyed by failing opcode
 ERROR_MESSAGES = {
     OP_DIV: "division by zero",
     OP_LOG: "log of non-positive value",
@@ -44,15 +42,11 @@ ERROR_MESSAGES = {
 @dataclass
 class Tape:
     n: int
-    codes: np.ndarray  # int32[m]
-    a: np.ndarray      # int32[m]: input register / variable slot / const slot
-    b: np.ndarray      # int32[m]: second register / integer exponent
-    consts: np.ndarray  # float64
-    nodes: tuple       # source subexpression per instruction (error reports)
-    nvars: int
-
-    def __len__(self) -> int:
-        return len(self.codes)
+    codes: tuple[int, ...]
+    a: tuple[int, ...]  # input register / variable slot / const slot
+    b: tuple[int, ...]  # second register / integer exponent
+    consts: tuple[float, ...]
+    nodes: tuple        # source subexpression per instruction (error reports)
 
 
 def compile_expr(e: Expr, n: int) -> Tape:
@@ -79,7 +73,7 @@ def compile_expr(e: Expr, n: int) -> Tape:
         if reg is not None:
             return reg
         if isinstance(node, Const):
-            consts.append(node.value)
+            consts.append(float(node.value))
             reg = emit(OP_CONST, len(consts) - 1, 0, node)
         elif isinstance(node, Var):
             if node.name not in slot:
@@ -100,10 +94,9 @@ def compile_expr(e: Expr, n: int) -> Tape:
     visit(e)
     return Tape(
         n=n,
-        codes=np.asarray(codes, dtype=np.int32),
-        a=np.asarray(arg_a, dtype=np.int32),
-        b=np.asarray(arg_b, dtype=np.int32),
-        consts=np.asarray(consts, dtype=np.float64),
+        codes=tuple(codes),
+        a=tuple(arg_a),
+        b=tuple(arg_b),
+        consts=tuple(consts),
         nodes=tuple(nodes),
-        nvars=len(layout),
     )

@@ -211,7 +211,8 @@ def strong_char_test(F: Expr, pt: JetPoint, branch: int, t_grid=None,
     inside ``box`` when given.  The pass threshold is tol * scale where scale
     is 1 plus the largest symbol-term magnitude sum_{i<=j} |F_u_ij * v_i v_j|
     along the line (the size of the first-order term a non-characteristic
-    direction would produce).
+    direction would produce).  Grid points outside F's domain are skipped;
+    EvaluationDomainError is raised only when F is defined at none of them.
     """
     speeds = characteristic_speeds(F, pt)
     if speeds.kind != "hyperbolic":
@@ -243,10 +244,11 @@ def strong_char_test(F: Expr, pt: JetPoint, branch: int, t_grid=None,
     for slot, w in zip(h_slots, weights):
         varmat[:, slot] = vec[slot] + t_grid * w
     vals, errs = backend.eval_batch(F, 2, varmat)
-    if np.any(errs >= 0):
-        bad = int(np.argmax(errs >= 0))
-        backend.eval_vector(F, 2, varmat[bad])  # raises with the subexpression
-    max_dev = float(np.max(np.abs(vals)))
+    # containment is judged where F is defined along the line
+    defined = errs < 0
+    if not np.any(defined):
+        backend.eval_vector(F, 2, varmat[0])  # raises with the subexpression
+    max_dev = float(np.max(np.abs(vals[defined])))
     symbol_term = np.zeros(len(t_grid))
     for d, w in zip(_first_partials(F, 2), weights):
         if w == 0.0:

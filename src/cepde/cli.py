@@ -8,6 +8,8 @@ Exit codes: 0 classified consistently / corpus matches, 1 usage or parse
 error (and corpus schema violations, n outside 2..4), 2 inconclusive, 3
 internal criterion disagreement, 4 corpus expectation mismatch (a corpus
 entry without a verdict is recorded as inconclusive and counts as one).
+No verdict means no reachable zero locus or F undefined where a criterion
+must evaluate it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .expr import ParseError, parse
+from .expr import EvaluationDomainError, ParseError, parse
 from .report import (EXIT_CORPUS_MISMATCH, EXIT_INCONCLUSIVE, EXIT_USAGE,
                      MA_FAMILY, OVERALL_EXCEPTIONAL, OVERALL_INCONCLUSIVE,
                      canonical_json, classify_pde, entry_seed, pretty_report)
@@ -102,7 +104,7 @@ def run_classify(args) -> int:
     try:
         outcome = classify_pde(args.pde, args.n, seed=args.seed,
                                samples=args.samples, box=args.box, tol=args.tol)
-    except SamplingError as exc:
+    except (SamplingError, EvaluationDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     text = (pretty_report(outcome.report) if args.pretty
@@ -190,7 +192,7 @@ def run_corpus(args) -> int:
         seed = entry_seed(args.seed, entry["name"])
         try:
             outcome = classify_pde(entry["expression"], entry["n"], seed=seed)
-        except SamplingError as exc:
+        except (SamplingError, EvaluationDomainError) as exc:
             # no verdict: the entry is inconclusive and cannot match
             report, ok = None, False
             actual = {"classification": None, "exceptional": None,

@@ -458,7 +458,7 @@ def _fold_power(base: Expr, k: int) -> Expr:
 
 
 def _powi(x: float, k: int) -> float:
-    """Binary exponentiation; 0^0 = 1.  Matches the tape kernels exactly."""
+    """Binary exponentiation; 0^0 = 1.  Matches the tape evaluator exactly."""
     acc = 1.0
     while k > 0:
         if k & 1:
@@ -644,7 +644,7 @@ def swap_xy(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (delegates to the selected tape backend)
+# Evaluation (delegates to the tape evaluator in backend)
 
 
 def evaluate(e: Expr, pt: JetPoint) -> float:

@@ -220,7 +220,11 @@ def factor_quartic(q: QuarticForm, s: QuadraticForm, tol: float
     M = np.zeros((len(quartic_combos(n)), npairs))
     M[_product_index(n), np.arange(npairs)[:, None]] = s.coeffs + 0.0
     g, *_ = np.linalg.lstsq(M, q.coeffs, rcond=None)
-    residual = float(np.linalg.norm(M @ g - q.coeffs) / max(np.linalg.norm(q.coeffs), _EPS))
+    # symbols near the overflow threshold give an inf or nan residual, which
+    # the callers drop; it needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(M @ g - q.coeffs)
+                         / max(np.linalg.norm(q.coeffs), _EPS))
     if residual <= tol:
         return QuadraticForm(n, g), residual
     return None, residual

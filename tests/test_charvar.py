@@ -226,6 +226,25 @@ class TestStrongCharTest:
         lo, hi = res.t_range
         assert -1.0 <= lo <= 0.0 and 0.0 <= hi <= 0.12
 
+    def test_line_leaving_the_domain(self):
+        # sqrt(u11 + 1) is undefined for u11 < -1: the grid points with
+        # t < -0.5 leave F's domain and are skipped, the rest are judged
+        from cepde.expr import EvaluationDomainError, evaluate
+        from cepde.tensor import rank_one_deform
+
+        F = parse("sqrt(u11 + 1) - u22", 2)
+        pt = pt2(-0.5, 0.0, math.sqrt(0.5))
+        for branch in (0, 1):
+            res = strong_char_test(F, pt, branch)
+            v = np.array([1.0, characteristic_speeds(F, pt).roots[branch].affine])
+            devs = [abs(evaluate(F, pt.with_hessian(
+                        rank_one_deform(pt.hessian(), v, t))))
+                    for t in np.linspace(-0.5, 1.0, 16)]
+            assert not res.passed
+            assert res.max_deviation == pytest.approx(max(devs), rel=1e-12)
+        with pytest.raises(EvaluationDomainError):
+            strong_char_test(F, pt, 0, t_grid=[-0.9, -0.7])
+
     def test_tangency_is_second_order(self):
         # characteristic <=> first-order tangency: |F(t)| = O(t^2), with C
         # estimated from t = 0.1

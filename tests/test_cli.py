@@ -1,4 +1,5 @@
 import json
+import warnings
 import shutil
 from pathlib import Path
 
@@ -71,16 +72,36 @@ class TestClassifyCommand:
     def test_sin_of_overflowing_exp_has_exit_code(self, capsys, tmp_path):
         # exp(400*u11) is inf for u11 >= 1.7725, and sin(inf) is nan as in
         # C; the 2-jet of F overflows at some locus samples, which are then
-        # dropped.  Seed 1 ends in a criterion disagreement (exit 3).
+        # dropped.  Seed 1 ends in a criterion disagreement (exit 3).  The
+        # overflow must not print numpy RuntimeWarnings either.
         schema = json.loads(SCHEMA_PATH.read_text())
         for seed in ("0", "1"):
             out = tmp_path / f"r{seed}.json"
-            code = run(["classify", "--pde", "sin(exp(400*u11)) + u22",
-                        "--n", "2", "--seed", seed, "--out", str(out)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(["classify", "--pde", "sin(exp(400*u11)) + u22",
+                            "--n", "2", "--seed", seed, "--out", str(out)])
             assert code in (0, 1, 2, 3, 4)
             if code != 2:
                 jsonschema.validate(json.loads(out.read_text()), schema)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_characteristic_line_leaving_the_domain(self, capsys):
+        # the strong test's rank-one line runs into u11 < -1, where the
+        # sqrt is undefined; the points on it where F is defined decide
+        code = run(["classify", "--pde", "sqrt(u11 + 1) - u22", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["overall_verdict"] == "not exceptional"
+        assert "Traceback" not in captured.err
+
+    def test_undefined_at_base_point_is_inconclusive_exit(self, capsys):
+        # log(u + 1) is undefined at base points with u <= -1, so the minor
+        # fit cannot evaluate F there whatever Hessians it draws
+        code = run(["classify", "--pde", "log(u + 1)*u11 + u22", "--n", "2"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: log of non-positive value in 'log(u + 1)'"]
 
     def test_unsupported_n_rejected_up_front(self, capsys):
         for n in ("1", "5"):
@@ -186,6 +207,23 @@ class TestCorpusCommand:
         assert first["report"] is None and first["match"] is False
         assert first["actual"]["overall_verdict"] == "inconclusive"
         assert second["match"] is True  # the run went on past the first entry
+
+    def test_entry_undefined_at_base_point_is_inconclusive(self, capsys,
+                                                           tmp_path):
+        entries = [{"name": "log-base", "n": 2,
+                    "expression": "log(u + 1)*u11 + u22",
+                    "expected_classification": "linear",
+                    "expected_exceptional": True}]
+        f = tmp_path / "log_base.json"
+        f.write_text(json.dumps(entries))
+        out = tmp_path / "agg.json"
+        code = run(["corpus", "--file", str(f), "--out", str(out)])
+        assert code == 4
+        assert "mismatch: log-base: inconclusive: log of non-positive" \
+            in capsys.readouterr().err
+        (entry,) = json.loads(out.read_text())["entries"]
+        assert entry["report"] is None and entry["match"] is False
+        assert entry["actual"]["overall_verdict"] == "inconclusive"
 
     def test_resolve_prefers_real_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
