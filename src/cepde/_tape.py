@@ -3,7 +3,7 @@
 
 Each instruction writes one register; common subexpressions are merged, so a
 tape is usually much smaller than its source tree.  A tape is plain tuples of
-Python ints and floats, which both of the evaluator's paths index directly.
+Python ints and floats, which the evaluator indexes directly.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """The tape evaluator and its cached compile/eval entry points.
 
-A tape runs two ways, bit for bit alike: `_run` executes it on one row in
-Python floats, and `eval_batch` runs it column-wise, one numpy array op per
-instruction over all rows.  Only exact IEEE operations (+ - * / neg sqrt and
+`eval_batch` is the one executor: it runs a tape column-wise, one numpy
+array op per instruction over all rows, and a single point is a batch of
+one row.  Rows never mix, so a row's value and error do not depend on the
+other rows of its batch.  Only exact IEEE operations (+ - * / neg sqrt and
 the square-and-multiply power loop) go through numpy; sin, cos, exp, log and
-tanh call libm through `math` element by element on both paths, because
-numpy's own exp, log and tanh may differ from libm in the last bit.  sin and
-cos of +-inf give nan, as C's do, and exp(v) is inf from v = 709 on.
+tanh call libm through `math` element by element, because numpy's own exp,
+log and tanh may differ from libm in the last bit.  sin and cos of +-inf
+give nan, as C's do, exp(v) is inf from v = 709 on, and exp(nan) is nan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ._tape import (ERROR_MESSAGES, OP_ADD, OP_CONST, OP_COS, OP_DIV, OP_EXP,
                     OP_LOG, OP_MUL, OP_NEG, OP_POWI, OP_SIN, OP_SQRT, OP_SUB,
                     OP_TANH, OP_VAR, Tape, compile_expr)
-from .expr import EvaluationDomainError, Expr, JetPoint
+from .expr import EvaluationDomainError, Expr
 
 
 def _sin(v: float) -> float:
@@ -31,10 +32,10 @@ def _cos(v: float) -> float:
 
 
 def _exp(v: float) -> float:
-    return math.exp(v) if v < 709.0 else math.inf
+    return math.inf if v >= 709.0 else math.exp(v)
 
 
-# libm calls of the column path that have no domain check
+# libm calls that have no domain check
 _LIBM = {OP_SIN: _sin, OP_COS: _cos, OP_EXP: _exp, OP_TANH: math.tanh}
 
 
@@ -43,77 +44,24 @@ def compiled_tape(e: Expr, n: int) -> Tape:
     return compile_expr(e, n)
 
 
-def _run(tape: Tape, xvars: list) -> tuple[float, int]:
-    """Execute the tape on one row of Python floats.  Returns (value, -1), or
-    (nan, i) when instruction i fails its domain check."""
-    a, b, consts = tape.a, tape.b, tape.consts
-    regs: list[float] = []
-    for i, op in enumerate(tape.codes):
-        if op == OP_CONST:
-            v = consts[a[i]]
-        elif op == OP_VAR:
-            v = xvars[a[i]]
-        elif op == OP_ADD:
-            v = regs[a[i]] + regs[b[i]]
-        elif op == OP_SUB:
-            v = regs[a[i]] - regs[b[i]]
-        elif op == OP_MUL:
-            v = regs[a[i]] * regs[b[i]]
-        elif op == OP_DIV:
-            den = regs[b[i]]
-            if den == 0.0:
-                return math.nan, i
-            v = regs[a[i]] / den
-        elif op == OP_NEG:
-            v = -regs[a[i]]
-        elif op == OP_SIN:
-            v = _sin(regs[a[i]])
-        elif op == OP_COS:
-            v = _cos(regs[a[i]])
-        elif op == OP_EXP:
-            v = _exp(regs[a[i]])
-        elif op == OP_LOG:
-            v = regs[a[i]]
-            if v <= 0.0:
-                return math.nan, i
-            v = math.log(v)
-        elif op == OP_SQRT:
-            v = regs[a[i]]
-            if v < 0.0:
-                return math.nan, i
-            v = math.sqrt(v)
-        elif op == OP_TANH:
-            v = math.tanh(regs[a[i]])
-        else:  # OP_POWI
-            base = regs[a[i]]
-            k = b[i]
-            v = 1.0
-            while k > 0:
-                if k & 1:
-                    v *= base
-                base *= base
-                k >>= 1
-        regs.append(v)
-    return regs[-1], -1
+def domain_error(e: Expr, n: int, err: int) -> EvaluationDomainError:
+    """The error of an eval_batch row of e that failed at instruction err."""
+    tape = compiled_tape(e, n)
+    return EvaluationDomainError(ERROR_MESSAGES.get(tape.codes[err], "domain error"),
+                                 tape.nodes[err])
 
 
 def eval_vector(e: Expr, n: int, vec: np.ndarray) -> float:
     """Evaluate at a raw variable vector in variable_layout(n) order."""
-    tape = compiled_tape(e, n)
-    value, err = _run(tape, vec.tolist())
-    if err >= 0:
-        kind = ERROR_MESSAGES.get(tape.codes[err], "domain error")
-        raise EvaluationDomainError(kind, tape.nodes[err])
-    return value
+    values, errs = eval_batch(e, n, vec[None, :])
+    if errs[0] >= 0:
+        raise domain_error(e, n, int(errs[0]))
+    return float(values[0])
 
 
 def eval_vector_or_nan(e: Expr, n: int, vec: np.ndarray) -> float:
     """Like eval_vector but returns nan instead of raising on domain errors."""
-    return _run(compiled_tape(e, n), vec.tolist())[0]
-
-
-def eval_expr(e: Expr, pt: JetPoint) -> float:
-    return eval_vector(e, pt.n, pt.to_vector())
+    return float(eval_batch(e, n, vec[None, :])[0][0])
 
 
 def eval_batch(e: Expr, n: int, varmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .expr import Expr, JetPoint, hessian_pairs, swap_xy, variable_layout
-from .symbol import (DEGENERATE_SYMBOL_TOL, _first_partials, _second_partials,
-                     exceptionality_at_point, sample_zero_locus)
+from .expr import EvaluationDomainError, Expr, JetPoint
+from .symbol import (DEFAULT_TOL, DEGENERATE_SYMBOL_TOL, SampleRecord, _checked,
+                     _first_partials, _point_partials, _second_partial_matrix,
+                     _second_partials, exceptionality_records, sample_zero_locus)
 
 HYPERBOLIC_TYPE_TOL = 1e-9   # |b^2-4ac| <= tol*(a^2+b^2+c^2) is parabolic
 NEAR_PARABOLIC_TOL = 1e-7    # relative floor for the b + 2c*lambda denominator
@@ -59,8 +60,8 @@ class CharSpeeds:
     """Characteristic roots and the discriminant type at one jet point.
 
     kind: "hyperbolic" (two distinct real roots), "parabolic" (double root),
-    or "elliptic" (no real roots).  Roots are sorted by affine speed
-    ascending, infinite root last.
+    "elliptic" (no real roots) or, inside charvar only, "totally-degenerate".
+    Roots are sorted by affine speed ascending, infinite root last.
     """
 
     kind: str
@@ -78,11 +79,7 @@ def char_poly_coeffs(F: Expr, pt: JetPoint) -> tuple[float, float, float]:
     principal-symbol coefficients."""
     if pt.n != 2:
         raise ValueError("characteristics are implemented for n = 2 only")
-    vec = pt.to_vector()
-    d11, d12, d22 = _first_partials(F, 2)
-    return (backend.eval_vector(d11, 2, vec),
-            backend.eval_vector(d12, 2, vec),
-            backend.eval_vector(d22, 2, vec))
+    return tuple(_point_partials(_first_partials(F, 2), pt, finite=False).tolist())
 
 
 def _sorted_roots(roots: list[ProjectiveRoot]) -> tuple[ProjectiveRoot, ...]:
@@ -94,11 +91,18 @@ def characteristic_speeds(F: Expr, pt: JetPoint,
                           type_tol: float = HYPERBOLIC_TYPE_TOL) -> CharSpeeds:
     """Projective roots of a*xi^2 + b*xi*eta + c*eta^2 = 0 with discriminant
     typing.  Raises TotallyDegenerateError when (a, b, c) vanishes."""
-    a, b, c = char_poly_coeffs(F, pt)
+    speeds = _speeds(*char_poly_coeffs(F, pt), type_tol)
+    if speeds.kind == "totally-degenerate":
+        raise TotallyDegenerateError("all symbol coefficients vanish at this point")
+    return speeds
+
+
+def _speeds(a: float, b: float, c: float,
+            type_tol: float = HYPERBOLIC_TYPE_TOL) -> CharSpeeds:
+    """characteristic_speeds from (a, b, c), or kind "totally-degenerate"."""
     scale2 = a * a + b * b + c * c
     if math.sqrt(scale2) <= DEGENERATE_SYMBOL_TOL:
-        raise TotallyDegenerateError(
-            "all symbol coefficients vanish at this point")
+        return CharSpeeds("totally-degenerate", 0.0, (a, b, c), ())
     disc = b * b - 4.0 * a * c
     if disc > type_tol * scale2:
         sq = math.sqrt(disc)
@@ -121,21 +125,18 @@ def characteristic_speeds(F: Expr, pt: JetPoint,
     return CharSpeeds("parabolic", disc, (a, b, c), tuple(double))
 
 
-def _second_partial_matrix(F: Expr, pt: JetPoint) -> np.ndarray:
-    """3x3 symmetric matrix of d2F/du_ab du_cd over (u11, u12, u22)."""
-    vec = pt.to_vector()
-    D = np.zeros((3, 3))
-    for p1, p2, dd in _second_partials(F, 2):
-        v = backend.eval_vector(dd, 2, vec)
-        D[p1, p2] = D[p2, p1] = v
-    return D
-
-
 def speed_gradient(F: Expr, pt: JetPoint, branch: int
                    ) -> tuple[float, float, float]:
     """(d lambda/du11, d lambda/du12, d lambda/du22) for a finite hyperbolic
     root, by implicit differentiation of a + b*lambda + c*lambda^2 = 0."""
-    speeds = characteristic_speeds(F, pt)
+    second = _point_partials(_second_partials(F, 2), pt, finite=False)
+    D = _second_partial_matrix(second, 2)
+    return _gradient(characteristic_speeds(F, pt), D, branch)
+
+
+def _gradient(speeds: CharSpeeds, D: np.ndarray, branch: int
+              ) -> tuple[float, float, float]:
+    """speed_gradient from the speeds and the second-partial matrix."""
     if speeds.kind != "hyperbolic":
         raise ValueError(f"speed gradient needs a hyperbolic point, got {speeds.kind}")
     root = speeds.roots[branch]
@@ -147,16 +148,9 @@ def speed_gradient(F: Expr, pt: JetPoint, branch: int
     denom = b + 2.0 * c * lam
     if abs(denom) <= NEAR_PARABOLIC_TOL * (1.0 + math.sqrt(a * a + b * b + c * c)):
         raise NearParabolicError(f"|b + 2c*lambda| = {abs(denom):.3e} too small")
-    D = _second_partial_matrix(F, pt)
     grads = [-(D[0, t] + D[1, t] * lam + D[2, t] * lam * lam) / denom
              for t in range(3)]
     return (grads[0], grads[1], grads[2])
-
-
-def _swap_point(pt: JetPoint) -> JetPoint:
-    H = pt.hessian()
-    return JetPoint.make((pt.x[1], pt.x[0]), pt.u, (pt.p[1], pt.p[0]),
-                         np.array([[H[1, 1], H[0, 1]], [H[0, 1], H[0, 0]]]))
 
 
 def lax_residual(F: Expr, pt: JetPoint, branch: int) -> float:
@@ -166,25 +160,27 @@ def lax_residual(F: Expr, pt: JetPoint, branch: int) -> float:
     The root at infinity is evaluated in the coordinate-swapped chart, where
     it becomes the finite root lambda' = 0 of the swapped expression.
     """
-    speeds = characteristic_speeds(F, pt)
+    second = _point_partials(_second_partials(F, 2), pt, finite=False)
+    D = _second_partial_matrix(second, 2)
+    return _lax(characteristic_speeds(F, pt), D, branch)
+
+
+def _lax(speeds: CharSpeeds, D: np.ndarray, branch: int) -> float:
+    """lax_residual from the speeds and the second-partial matrix."""
     if speeds.kind != "hyperbolic":
         raise ValueError(f"Lax residual needs a hyperbolic point, got {speeds.kind}")
-    root = speeds.roots[branch]
-    if not root.is_infinite:
-        lam = root.affine
-        g = speed_gradient(F, pt, branch)
-        return g[0] + lam * g[1] + lam * lam * g[2]
-    F_sw = swap_xy(F)
-    pt_sw = _swap_point(pt)
-    speeds_sw = characteristic_speeds(F_sw, pt_sw)
-    # image of the infinite root is the finite swapped root closest to 0
-    finite = [(abs(r.affine), k) for k, r in enumerate(speeds_sw.roots)
-              if not r.is_infinite]
-    if not finite:
-        raise NearParabolicError("no finite root in the swapped chart")
-    _, k = min(finite)
-    lam = speeds_sw.roots[k].affine
-    g = speed_gradient(F_sw, pt_sw, k)
+    if speeds.roots[branch].is_infinite:
+        # x <-> y swaps u11 and u22: that chart's jet is (c, b, a) with D
+        # reversed, and the infinite root maps to its finite root nearest 0
+        a, b, c = speeds.coeffs
+        speeds, D = _speeds(c, b, a), D[::-1, ::-1]
+        finite = [(abs(r.affine), k) for k, r in enumerate(speeds.roots)
+                  if not r.is_infinite]
+        if not finite:
+            raise NearParabolicError("no finite root in the swapped chart")
+        _, branch = min(finite)
+    lam = speeds.roots[branch].affine
+    g = _gradient(speeds, D, branch)
     return g[0] + lam * g[1] + lam * lam * g[2]
 
 
@@ -194,12 +190,6 @@ class StrongCharResult:
     max_deviation: float
     scale: float  # local F scale used for the threshold
     t_range: tuple[float, float]
-
-
-def _deformation_direction(root: ProjectiveRoot) -> np.ndarray:
-    if root.is_infinite:
-        return np.array([0.0, 1.0])
-    return np.array([1.0, root.affine])
 
 
 def strong_char_test(F: Expr, pt: JetPoint, branch: int, t_grid=None,
@@ -218,47 +208,50 @@ def strong_char_test(F: Expr, pt: JetPoint, branch: int, t_grid=None,
     if speeds.kind != "hyperbolic":
         raise ValueError(f"strong-characteristic test needs a hyperbolic point, "
                          f"got {speeds.kind}")
-    v = _deformation_direction(speeds.roots[branch])
-    H = pt.hessian()
-    t_lo, t_hi = -1.0, 1.0
-    if box is not None:
-        lo, hi = float(box[0]), float(box[1])
-        for i, j in ((0, 0), (0, 1), (1, 1)):
-            w = v[i] * v[j]
-            if w == 0.0:
-                continue
-            bounds = sorted(((lo - H[i, j]) / w, (hi - H[i, j]) / w))
-            t_lo = max(t_lo, bounds[0])
-            t_hi = min(t_hi, bounds[1])
-        t_lo, t_hi = min(t_lo, 0.0), max(t_hi, 0.0)
-    if t_grid is None:
-        t_grid = np.linspace(t_lo, t_hi, DEFAULT_T_GRID_SIZE)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
+    return _checked(_strong_tests(F, [(pt, speeds.roots[branch])], t_grid, tol, box)[0])
 
-    layout = variable_layout(2)
-    vec = pt.to_vector()
-    varmat = np.tile(vec, (len(t_grid), 1))
-    h_slots = [layout.index(f"u{i}{j}") for i, j in hessian_pairs(2)]
-    weights = [v[i - 1] * v[j - 1] for i, j in hessian_pairs(2)]
-    for slot, w in zip(h_slots, weights):
-        varmat[:, slot] = vec[slot] + t_grid * w
-    vals, errs = backend.eval_batch(F, 2, varmat)
+
+def _strong_tests(F: Expr, lines, t_grid, tol: float, box
+                  ) -> list[StrongCharResult | EvaluationDomainError]:
+    """strong_char_test on each (point, root) line, one batch per expression
+    over all lines; a line where F is defined nowhere gets its error."""
+    if not lines:
+        return []
+    grids, weights = [], []
+    for pt, root in lines:
+        v = np.array([0.0, 1.0] if root.is_infinite else [1.0, root.affine])
+        weights.append([v[0] * v[0], v[0] * v[1], v[1] * v[1]])  # u11, u12, u22
+        t_lo, t_hi = -1.0, 1.0
+        if box is not None:
+            lo, hi = float(box[0]), float(box[1])
+            for h, w in zip(pt.h_upper, weights[-1]):
+                if w != 0.0:
+                    bounds = sorted(((lo - h) / w, (hi - h) / w))
+                    t_lo, t_hi = max(t_lo, bounds[0]), min(t_hi, bounds[1])
+            t_lo, t_hi = min(t_lo, 0.0), max(t_hi, 0.0)
+        grids.append(np.linspace(t_lo, t_hi, DEFAULT_T_GRID_SIZE) if t_grid is None
+                     else np.asarray(t_grid, dtype=float))
+    grids, weights = np.array(grids), np.array(weights)
+    # rows (line, t): the point with its Hessian moved to H + t*v*v^T
+    rows = np.stack([np.tile(pt.to_vector(), (grids.shape[1], 1)) for pt, _ in lines])
+    rows[:, :, 5:] += grids[:, :, None] * weights[:, None, :]  # u11, u12, u22
+    vals, errs = backend.eval_batch(F, 2, rows.reshape(-1, rows.shape[2]))
+    vals, errs = vals.reshape(grids.shape), errs.reshape(grids.shape)
+    symbol_term = np.zeros(grids.shape)
+    for k, d in enumerate(_first_partials(F, 2)):
+        on = weights[:, k] != 0.0
+        if on.any():
+            sub = rows if on.all() else rows[on]
+            dv, derr = backend.eval_batch(d, 2, sub.reshape(-1, rows.shape[2]))
+            dv[derr >= 0] = 0.0
+            symbol_term[on] += np.abs(dv.reshape(len(sub), -1) * weights[on, k, None])
     # containment is judged where F is defined along the line
-    defined = errs < 0
-    if not np.any(defined):
-        backend.eval_vector(F, 2, varmat[0])  # raises with the subexpression
-    max_dev = float(np.max(np.abs(vals[defined])))
-    symbol_term = np.zeros(len(t_grid))
-    for d, w in zip(_first_partials(F, 2), weights):
-        if w == 0.0:
-            continue
-        dv, derr = backend.eval_batch(d, 2, varmat)
-        dv[derr >= 0] = 0.0
-        symbol_term += np.abs(dv * w)
-    scale = 1.0 + float(np.max(symbol_term))
-    return StrongCharResult(max_dev <= tol * scale, max_dev, scale,
-                            (float(t_grid[0]), float(t_grid[-1])))
+    max_dev = np.max(np.where(errs < 0, np.abs(vals), -np.inf), axis=1)
+    scale = 1.0 + np.max(symbol_term, axis=1)
+    return [backend.domain_error(F, 2, int(e[0])) if np.all(e >= 0) else
+            StrongCharResult(bool(d <= tol * s), float(d), float(s),
+                             (float(g[0]), float(g[-1])))
+            for d, s, e, g in zip(max_dev, scale, errs, grids)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +269,19 @@ class HyperbolicityScan:
 
 
 def hyperbolicity_scan(F: Expr, samples) -> HyperbolicityScan:
-    """Discriminant type of each sample plus summary fractions."""
-    kinds = []
-    for pt in samples:
-        try:
-            kinds.append(characteristic_speeds(F, pt).kind)
-        except TotallyDegenerateError:
-            kinds.append("totally-degenerate")
+    """Discriminant type per sample (jet point or SampleRecord), with fractions."""
+    return _scan([_speeds(*r.first.tolist()) for r in _records(F, samples, DEFAULT_TOL)])
+
+
+def _records(F: Expr, samples, tol: float) -> list[SampleRecord]:
+    """The samples as SampleRecords; jet points are tested at tol here."""
+    if all(isinstance(s, SampleRecord) for s in samples):
+        return list(samples)
+    return [_checked(r) for r in exceptionality_records(F, 2, samples, tol)]
+
+
+def _scan(speeds) -> HyperbolicityScan:
+    kinds = [sp.kind for sp in speeds]
     fractions = {k: kinds.count(k) / len(kinds) for k in sorted(set(kinds))} \
         if kinds else {}
     return HyperbolicityScan(tuple(kinds), fractions)
@@ -308,12 +307,14 @@ class EquivalenceReport:
     """Per-sample comparison of the three exceptionality criteria on
     hyperbolic on-locus samples: (i) S2 divisible by S, (ii) both-branch Lax
     residuals below tol, (iii) both-branch strong-characteristic containment.
-    Non-hyperbolic samples are skipped with a counted reason."""
+    Non-hyperbolic samples and non-finite residuals are skipped with a
+    counted reason.  scan is the discriminant type of every sample."""
 
     samples: tuple[EquivalenceSample, ...]
     skipped: dict
     matrix: dict  # "PFP"-style (div, lax, strong) combo -> count
     tolerances: dict
+    scan: HyperbolicityScan
 
     @property
     def disagreements(self) -> tuple[EquivalenceSample, ...]:
@@ -330,38 +331,48 @@ def equivalence_report(F: Expr, box=(-2.0, 2.0), count: int = 64, seed: int = 0,
                        samples=None) -> EquivalenceReport:
     """Cross-validate the three criteria on sampled hyperbolic locus points.
 
-    ``samples`` may supply pre-drawn on-locus points; otherwise count points
-    are sampled with the given box/seed.
+    ``samples`` may supply pre-drawn on-locus points, or the SampleRecords
+    of is_completely_exceptional, whose jets and residuals are reused;
+    otherwise count points are sampled with the given box/seed.  Each
+    sample's jet and speeds serve all three criteria.
     """
     if samples is None:
         samples = sample_zero_locus(F, 2, box=box, count=count, seed=seed)
-    out = []
+    records = _records(F, samples, tol_div)
+    speeds = [_speeds(*r.first.tolist()) for r in records]
     skipped: dict[str, int] = {}
-    for pt in samples:
-        try:
-            speeds = characteristic_speeds(F, pt)
-        except TotallyDegenerateError:
-            skipped["totally-degenerate"] = skipped.get("totally-degenerate", 0) + 1
+    tested, lines = [], []
+    # overflowing symbols give inf and nan here, which the skip below catches
+    with np.errstate(all="ignore"):
+        for rec, sp in zip(records, speeds):
+            if sp.kind != "hyperbolic":
+                skipped[sp.kind] = skipped.get(sp.kind, 0) + 1
+                continue
+            D = _second_partial_matrix(rec.second, 2)
+            try:
+                lax = tuple(_lax(sp, D, k) for k in range(2))
+            except NearParabolicError:
+                skipped["near-parabolic"] = skipped.get("near-parabolic", 0) + 1
+                continue
+            tested.append((rec, lax))
+            lines += [(rec.point, root) for root in sp.roots]
+        strong_results = _strong_tests(F, lines, None, tol_strong, box)
+    out = []
+    for k, (rec, lax) in enumerate(tested):
+        strong = [_checked(r) for r in strong_results[2 * k:2 * k + 2]]
+        deviations = (strong[0].max_deviation, strong[1].max_deviation)
+        if not np.all(np.isfinite(lax + deviations)):
+            skipped["non-finite"] = skipped.get("non-finite", 0) + 1
             continue
-        if speeds.kind != "hyperbolic":
-            skipped[speeds.kind] = skipped.get(speeds.kind, 0) + 1
-            continue
-        try:
-            lax = tuple(lax_residual(F, pt, k) for k in range(2))
-        except NearParabolicError:
-            skipped["near-parabolic"] = skipped.get("near-parabolic", 0) + 1
-            continue
-        rec = exceptionality_at_point(F, pt, tol_div)
-        strong = tuple(strong_char_test(F, pt, k, tol=tol_strong, box=box)
-                       for k in range(2))
         out.append(EquivalenceSample(
-            point=pt,
-            divisibility_pass=rec.passed,
+            point=rec.point,
+            # the divisibility test's pass rule at tol_div
+            divisibility_pass=rec.residual <= tol_div,
             divisibility_residual=rec.residual,
             lax_pass=all(abs(r) <= tol_lax for r in lax),
             lax_residuals=(float(lax[0]), float(lax[1])),
             strong_pass=all(s.passed for s in strong),
-            strong_deviations=(strong[0].max_deviation, strong[1].max_deviation),
+            strong_deviations=deviations,
         ))
     matrix: dict[str, int] = {}
     for s in out:
@@ -370,4 +381,4 @@ def equivalence_report(F: Expr, box=(-2.0, 2.0), count: int = 64, seed: int = 0,
         matrix[key] = matrix.get(key, 0) + 1
     return EquivalenceReport(tuple(out), skipped, matrix,
                              {"divisibility": tol_div, "lax": tol_lax,
-                              "strong": tol_strong})
+                              "strong": tol_strong}, _scan(speeds))

@@ -655,4 +655,4 @@ def evaluate(e: Expr, pt: JetPoint) -> float:
     """
     from . import backend
 
-    return backend.eval_expr(e, pt)
+    return backend.eval_vector(e, pt.n, pt.to_vector())

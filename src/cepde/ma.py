@@ -77,9 +77,9 @@ def _draw_hessian_values(F: Expr, base: BasePoint, rng, m: int
         hmat[bad] = rng.uniform(*HESSIAN_BOX, size=(k, nh))
         varmat[bad, 2 * n + 1:] = hmat[bad]
         vals[bad], errs[bad] = backend.eval_batch(F, n, varmat[bad])
-    # re-evaluate one failing row through the raising path for a clear error
-    bad_row = int(np.argmax((errs >= 0) | ~np.isfinite(vals)))
-    backend.eval_vector(F, n, varmat[bad_row])
+    err = int(errs[np.argmax((errs >= 0) | ~np.isfinite(vals))])
+    if err >= 0:
+        raise backend.domain_error(F, n, err)
     raise EvaluationDomainError("evaluation kept failing", F)
 
 

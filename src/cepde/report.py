@@ -152,12 +152,10 @@ def classify_pde(expression: str, n: int, seed: int = 0, samples: int = 64,
     hyp = None
     equiv = None
     if n == 2:
-        points = [r.point for r in exc.samples]
-        hyp_scan = charvar.hyperbolicity_scan(F, points)
-        hyp = {"fractions": {k: float(v) for k, v in hyp_scan.fractions.items()},
-               "kinds": list(hyp_scan.kinds)}
         equiv = charvar.equivalence_report(F, box=box, seed=seed, tol_div=tol,
-                                           samples=points)
+                                           samples=exc.samples)
+        hyp = {"fractions": {k: float(v) for k, v in equiv.scan.fractions.items()},
+               "kinds": list(equiv.scan.kinds)}
 
     is_exc = exc.verdict == "exceptional"
     is_ma = ma_cls.classification in MA_FAMILY

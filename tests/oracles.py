@@ -216,3 +216,98 @@ def long_division_remainder(q: QuarticForm, s: QuadraticForm) -> float:
             else:
                 num[tgt] = val
     return math.sqrt(sum(v * v for v in remainder.values()))
+
+
+# ---------------------------------------------------------------------------
+# Zero-locus sampling one candidate and one point at a time
+
+
+def _scalar_solve_pivot(F, n, vec, pivot_slot, dF_pivot, lo, hi):
+    """F(vec | pivot = h) = 0 for h in [lo, hi]: grid bracketing, then
+    bisection and Newton polish one scalar evaluation at a time.  Returns
+    the root or None."""
+    from cepde import backend
+
+    grid = np.linspace(lo, hi, 33)
+    mat = np.tile(vec, (33, 1))
+    mat[:, pivot_slot] = grid
+    vals, errs = backend.eval_batch(F, n, mat)
+    ok = (errs < 0) & np.isfinite(vals)
+    if not np.any(ok):
+        return None
+    scale = float(np.max(np.abs(vals[ok])))
+    target = 1e-10 * (1.0 + scale)
+
+    def at(e, h):
+        w = vec.copy()
+        w[pivot_slot] = h
+        return backend.eval_vector_or_nan(e, n, w)
+
+    for g, v, good in zip(grid, vals, ok):
+        if good and abs(v) <= 1e-14 * (1.0 + scale):
+            return float(g)
+    bracket = None
+    for k in range(32):
+        if ok[k] and ok[k + 1] and vals[k] * vals[k + 1] < 0.0:
+            bracket = (float(grid[k]), float(grid[k + 1]), float(vals[k]))
+            break
+    if bracket is None:
+        return None
+    a, b, fa = bracket
+    for _ in range(40):
+        mid = 0.5 * (a + b)
+        fm = at(F, mid)
+        if not np.isfinite(fm):
+            return None
+        if abs(fm) <= target:
+            a = b = mid
+            break
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    root = 0.5 * (a + b)
+    for _ in range(6):
+        fr = at(F, root)
+        if not np.isfinite(fr) or abs(fr) <= 1e-13 * (1.0 + scale):
+            break
+        d = at(dF_pivot, root)
+        if not np.isfinite(d) or d == 0.0:
+            break
+        step = fr / d
+        if not np.isfinite(step) or not lo <= root - step <= hi:
+            break
+        root -= step
+    fr = at(F, root)
+    if np.isfinite(fr) and abs(fr) <= 1e-10 * (1.0 + scale):
+        return float(root)
+    return None
+
+
+def scalar_zero_locus(F: Expr, n: int, box=(-2.0, 2.0), count: int = 64,
+                      seed: int = 0) -> list[JetPoint] | None:
+    """sample_zero_locus drawn one candidate at a time: up to 50 draws per
+    sample, the pivot Hessian entry cycling with the draw.  None where
+    sample_zero_locus must raise SamplingError."""
+    from cepde.expr import (differentiate, hessian_name, hessian_pairs,
+                            jetpoint_from_vector, variable_layout)
+
+    lo, hi = box
+    rng = np.random.default_rng(seed)
+    layout = variable_layout(n)
+    names = [hessian_name(i, j, n) for i, j in hessian_pairs(n)]
+    points, attempt = [], 0
+    with np.errstate(all="ignore"):
+        for _ in range(count):
+            for _ in range(50):
+                pivot = attempt % len(names)
+                attempt += 1
+                vec = rng.uniform(lo, hi, size=len(layout))
+                slot = layout.index(names[pivot])
+                root = _scalar_solve_pivot(F, n, vec, slot,
+                                           differentiate(F, names[pivot]), lo, hi)
+                if root is not None:
+                    vec[slot] = root
+                    points.append(jetpoint_from_vector(vec, n))
+                    break
+    return points if len(points) >= count / 2 else None

@@ -1,12 +1,12 @@
-"""The tape evaluator: the scalar path and the column path give identical
-values and identical first failing instructions, row by row."""
+"""The tape evaluator: a row's value and first failing instruction do not
+depend on the other rows of its batch, bit for bit."""
 
 import numpy as np
 import pytest
 
 from cepde import backend
 from cepde._tape import compile_expr
-from cepde.expr import parse, variable_layout
+from cepde.expr import EvaluationDomainError, parse, variable_layout
 from conftest import random_jetpoint
 
 EXPRS = [
@@ -47,39 +47,61 @@ def _same_bits(x, y) -> bool:
             and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
 
 
-def _scalar(tape, vec):
-    return backend._run(tape, vec.tolist())
+def _alone(e, vec):
+    """One row evaluated as a batch of one, as the single-point functions
+    evaluate."""
+    values, errs = backend.eval_batch(e, 2, vec[None, :])
+    return values[0], errs[0]
 
 
 @pytest.mark.parametrize("text", EXPRS)
 def test_column_batch_matches_scalar_rows(text, rng):
-    # the column path against the scalar path, row by row: same bits of
-    # every value and the same first failing instruction
+    # every row of a batch against the same row evaluated alone and in the
+    # reversed batch: same bits of every value and the same first failing
+    # instruction.  The zero-locus solver's output depends on this: it
+    # batches rows of many candidates together.
     e = parse(text, 2)
-    tape = compile_expr(e, 2)
     mat = _rows(rng)
     out, errs = backend.eval_batch(e, 2, mat)
-    scalar = [_scalar(tape, row) for row in mat]
-    assert np.array_equal(errs, [err for _, err in scalar]), text
-    assert _same_bits(out, np.array([value for value, _ in scalar])), text
+    alone = [_alone(e, row) for row in mat]
+    assert np.array_equal(errs, [err for _, err in alone]), text
+    assert _same_bits(out, np.array([value for value, _ in alone])), text
+    rev_out, rev_errs = backend.eval_batch(e, 2, mat[::-1].copy())
+    assert np.array_equal(errs, rev_errs[::-1]), text
+    assert _same_bits(out, rev_out[::-1]), text
 
 
 class TestBackendSemantics:
     def test_domain_error_positions(self):
         layout = variable_layout(2)
-        tape = compile_expr(parse("log(u) + 1", 2), 2)
+        e = parse("log(u) + 1", 2)
         vec = np.zeros(len(layout))
-        value, err = _scalar(tape, vec)
+        value, err = _alone(e, vec)
         assert err >= 0 and np.isnan(value)
+        with pytest.raises(EvaluationDomainError,
+                           match=r"^log of non-positive value in 'log\(u\)'$"):
+            backend.eval_vector(e, 2, vec)
         vec[layout.index("u")] = 2.0
-        value, err = _scalar(tape, vec)
+        value, err = _alone(e, vec)
         assert err == -1 and value == pytest.approx(np.log(2.0) + 1.0)
 
     def test_integer_power_semantics(self):
-        tape = compile_expr(parse("u^0", 2), 2)
         vec = np.zeros(len(variable_layout(2)))
-        value, err = _scalar(tape, vec)
+        value, err = _alone(parse("u^0", 2), vec)
         assert (value, err) == (1.0, -1)  # 0^0 = 1 by convention
+
+    def test_exp_passes_nan_through(self):
+        # inf - inf is nan, and exp(nan) must stay nan as in libm, so F is
+        # undefined there instead of 1/inf + u12 = 0.5
+        layout = variable_layout(2)
+        vec = np.zeros(len(layout))
+        vec[[layout.index("u11"), layout.index("u22")]] = 1.9
+        vec[layout.index("u12")] = 0.5
+        e = parse("1/exp(exp(400*u11) - exp(400*u22)) + u12", 2)
+        value, err = _alone(e, vec)
+        assert err == -1 and np.isnan(value)
+        assert np.isnan(backend.eval_vector_or_nan(parse("exp(u11 - u22)", 2),
+                                                   2, np.full(len(layout), np.inf)))
 
     def test_batch_row_independence(self, rng):
         # a domain error in one row must not poison later rows

@@ -86,6 +86,23 @@ class TestClassifyCommand:
                 jsonschema.validate(json.loads(out.read_text()), schema)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_finite_characteristics_are_skipped(self, capsys, tmp_path):
+        # exp(300*u11) and exp(300*u22) overflow along the characteristic
+        # lines, and some Lax residuals overflow to -inf; such a sample is
+        # skipped and counted, never serialized, and prints no warning
+        schema = json.loads(SCHEMA_PATH.read_text())
+        for seed in range(8):
+            out = tmp_path / f"r{seed}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(["classify", "--pde",
+                            "exp(300*u11) + u12*exp(300*u22) + u22", "--n", "2",
+                            "--seed", str(seed), "--out", str(out)])
+            assert code in (0, 1, 2, 3, 4)
+            if out.exists():
+                jsonschema.validate(json.loads(out.read_text()), schema)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_characteristic_line_leaving_the_domain(self, capsys):
         # the strong test's rank-one line runs into u11 < -1, where the
         # sqrt is undefined; the points on it where F is defined decide
@@ -128,6 +145,37 @@ class TestClassifyCommand:
              "--seed", "9", "--out", str(out)])
         schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+class TestOneEvaluationPath:
+    SIGMA2_N4 = ("u11*u22 - u12^2 + u11*u33 - u13^2 + u11*u44 - u14^2"
+                 " + u22*u33 - u23^2 + u22*u44 - u24^2 + u33*u44 - u34^2 - 1")
+
+    def test_pipeline_makes_no_single_point_calls(self, corpus_entries,
+                                                  monkeypatch, capsys):
+        # every stage evaluates in batches: with the single-point entry
+        # points refusing to run, every report and error stays the same
+        from cepde import backend
+
+        cases = [(e["expression"], e["n"]) for e in corpus_entries]
+        cases.append((self.SIGMA2_N4, 4))
+        undefined = ["classify", "--pde", "log(u + 1)*u11 + u22", "--n", "2"]
+
+        def outputs():
+            reports = [canonical_json(classify_pde(text, n).report)
+                       for text, n in cases]
+            code = run(undefined)
+            return reports, code, capsys.readouterr().err.splitlines()[0]
+
+        want = outputs()
+
+        def refuse(*args):
+            raise AssertionError("single-point evaluation in the pipeline")
+
+        monkeypatch.setattr(backend, "eval_vector", refuse)
+        monkeypatch.setattr(backend, "eval_vector_or_nan", refuse)
+        assert outputs() == want
+        assert want[1:] == (2, "error: log of non-positive value in 'log(u + 1)'")
 
 
 class TestCorpusCommand:

@@ -7,7 +7,8 @@ from cepde.symbol import (SamplingError, exceptionality_at_point,
                           sample_zero_locus, second_symbol)
 from cepde.tensor import adjugate
 from conftest import random_jetpoint
-from oracles import form_from_direction_values, rank_one_derivatives
+from oracles import (form_from_direction_values, rank_one_derivatives,
+                     scalar_zero_locus)
 
 MULTIPLIERS = ["2", "1 + u1^2", "exp(u)"]
 
@@ -120,6 +121,30 @@ class TestSampleZeroLocus:
             pts = sample_zero_locus(F, n, count=16, seed=11)
             for pt in pts:
                 assert abs(evaluate(F, pt)) <= 1e-8, name
+
+    DET3 = ("u11*(u22*u33 - u23^2) - u12*(u12*u33 - u13*u23)"
+            " + u13*(u12*u23 - u13*u22) - 1")
+
+    @pytest.mark.parametrize("text, n", [
+        ("u11*u22 - u12^2 - 3", 2),
+        ("u11*u22 - u12^2 - 3.5", 2),  # some samples run out of draws
+        ("u11^2 + u22^2 - 0.01", 2),
+        ("sqrt(u11) - 1", 2),
+        ("sin(exp(400*u11)) + u22", 2),
+        (DET3, 3),
+    ])
+    def test_matches_one_candidate_at_a_time(self, text, n):
+        # the block solver picks the very samples of the scalar loop
+        F = parse(text, n)
+        for seed in range(3):
+            want = scalar_zero_locus(F, n, seed=seed)
+            if want is None:
+                with pytest.raises(SamplingError):
+                    sample_zero_locus(F, n, seed=seed)
+                continue
+            got = sample_zero_locus(F, n, seed=seed)
+            assert np.array_equal([p.to_vector() for p in got],
+                                  [p.to_vector() for p in want]), (text, seed)
 
 
 class TestExceptionalityAtPoint:
