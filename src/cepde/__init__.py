@@ -17,14 +17,12 @@ from .expr import (EvaluationDomainError, Expr, ExprDimensionError, JetPoint,
                    ParseError, UnknownVariableError, differentiate, evaluate,
                    parse, swap_xy, to_text)
 from .ma import (BasePoint, MAClassification, MACoefficients, classify,
-                 fit_minor_expansion, minor_expansion)
+                 fit_minor_expansion)
 from .symbol import (ExceptionalityVerdict, SampleRecord, SamplingError,
                      exceptionality_at_point, is_completely_exceptional,
                      principal_symbol, sample_zero_locus, second_symbol)
-from .tensor import (MinorBasis, QuadraticForm, QuarticForm, adjugate,
-                     compound, factor_quartic, lie_quadric_residual,
-                     minor_basis, multiply_quadratics, pluecker_embed,
-                     rank_one_deform)
+from .tensor import (MinorBasis, QuadraticForm, QuarticForm, factor_quartic,
+                     minor_basis, multiply_quadratics)
 
 __version__ = "0.1.0"
 
@@ -40,15 +38,14 @@ __all__ = [
     "EvaluationDomainError",
     # tensor
     "QuadraticForm", "QuarticForm", "MinorBasis", "multiply_quadratics",
-    "factor_quartic", "compound", "adjugate", "minor_basis", "pluecker_embed",
-    "lie_quadric_residual", "rank_one_deform",
+    "factor_quartic", "minor_basis",
     # symbol
     "principal_symbol", "second_symbol", "sample_zero_locus",
     "exceptionality_at_point", "is_completely_exceptional",
     "ExceptionalityVerdict", "SampleRecord", "SamplingError",
     # ma
-    "BasePoint", "MACoefficients", "MAClassification", "minor_expansion",
-    "fit_minor_expansion", "classify",
+    "BasePoint", "MACoefficients", "MAClassification", "fit_minor_expansion",
+    "classify",
     # charvar
     "CharSpeeds", "ProjectiveRoot", "char_poly_coeffs", "characteristic_speeds",
     "speed_gradient", "lax_residual", "strong_char_test", "hyperbolicity_scan",

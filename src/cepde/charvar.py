@@ -115,14 +115,9 @@ def _speeds(a: float, b: float, c: float,
         return CharSpeeds("hyperbolic", disc, (a, b, c), _sorted_roots(roots))
     if disc < -type_tol * scale2:
         return CharSpeeds("elliptic", disc, (a, b, c), ())
-    if c != 0.0:
-        double = [ProjectiveRoot(1.0, -0.5 * b / c)]
-    elif b != 0.0:
-        # |b| tiny relative to a: the nearly coincident pair sits at infinity
-        double = [ProjectiveRoot(0.0, 1.0)]
-    else:
-        double = [ProjectiveRoot(0.0, 1.0)]
-    return CharSpeeds("parabolic", disc, (a, b, c), tuple(double))
+    # with c = 0 the (nearly) coincident pair sits at infinity
+    double = ProjectiveRoot(1.0, -0.5 * b / c) if c != 0.0 else ProjectiveRoot(0.0, 1.0)
+    return CharSpeeds("parabolic", disc, (a, b, c), (double,))
 
 
 def speed_gradient(F: Expr, pt: JetPoint, branch: int
@@ -262,10 +257,6 @@ def _strong_tests(F: Expr, lines, t_grid, tol: float, box
 class HyperbolicityScan:
     kinds: tuple[str, ...]
     fractions: dict
-
-    @property
-    def fraction_hyperbolic(self) -> float:
-        return self.fractions.get("hyperbolic", 0.0)
 
 
 def hyperbolicity_scan(F: Expr, samples) -> HyperbolicityScan:

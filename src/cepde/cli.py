@@ -15,6 +15,7 @@ must evaluate it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,11 +37,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _in_range(convert, ok, rule: str):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse_value(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    return parse_value
+
+
 def _parse_box(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"box must be lo:hi, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("box bounds must be finite")
     if not lo < hi:
         raise argparse.ArgumentTypeError("box needs lo < hi")
     return (lo, hi)
@@ -56,11 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify", help="classify a single PDE")
     cls.add_argument("--pde", required=True, help="expression F in jet variables")
     cls.add_argument("--n", type=int, required=True, help="number of independent variables")
-    cls.add_argument("--seed", type=int, default=0)
-    cls.add_argument("--samples", type=int, default=64)
+    cls.add_argument("--seed", type=_in_range(int, lambda v: v >= 0, ">= 0"),
+                     default=0)
+    cls.add_argument("--samples", type=_in_range(int, lambda v: v >= 1, ">= 1"),
+                     default=64)
     cls.add_argument("--box", type=_parse_box, default=(-2.0, 2.0),
                      metavar="LO:HI", help="coordinate box (default -2:2)")
-    cls.add_argument("--tol", type=float, default=1e-7)
+    cls.add_argument("--tol", default=1e-7, type=_in_range(
+        float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"))
     fmt = cls.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (default)")
     fmt.add_argument("--pretty", action="store_true", help="human-readable report")

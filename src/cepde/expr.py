@@ -93,29 +93,6 @@ class Power(Expr):
     exponent: int  # literal, >= 0
 
 
-def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Unary):
-        return (e.arg,)
-    if isinstance(e, Binary):
-        return (e.lhs, e.rhs)
-    if isinstance(e, Power):
-        return (e.base,)
-    return ()
-
-
-def variables_of(e: Expr) -> set[str]:
-    """All variable names referenced by e."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        else:
-            stack.extend(children(node))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Variable naming
 
@@ -254,27 +231,9 @@ class JetPoint:
             H[j - 1, i - 1] = self.h_upper[k]
         return H
 
-    def hessian_entry(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        return self.h_upper[hessian_pairs(self.n).index((i, j))]
-
-    def value(self, name: str) -> float:
-        kind, i, j = parse_variable_name(name)
-        if kind == "u":
-            return self.u
-        if kind == "x":
-            return self.x[i - 1]
-        if kind == "p":
-            return self.p[i - 1]
-        return self.hessian_entry(i, j)
-
     def to_vector(self) -> np.ndarray:
         """Values in variable_layout(n) order."""
         return np.array([*self.x, self.u, *self.p, *self.h_upper], dtype=float)
-
-    def with_hessian(self, H) -> "JetPoint":
-        return JetPoint.make(self.x, self.u, self.p, H)
 
 
 def jetpoint_from_vector(vec, n: int) -> JetPoint:

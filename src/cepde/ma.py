@@ -98,7 +98,7 @@ def _design_matrix(hmat: np.ndarray, n: int) -> np.ndarray:
 def fit_minor_expansion(F: Expr, base: BasePoint, seed: int = 0) -> MACoefficients:
     """Least-squares fit of F against the minor basis at a fixed base point,
     with an equally sized held-out validation set.  Always returns the fit;
-    use MACoefficients.accepted(tol) or minor_expansion() for the verdict."""
+    MACoefficients.accepted(tol) gives the verdict."""
     n = base.n
     m = OVERSAMPLE * len(minor_basis(n))
     rng = np.random.default_rng(seed)
@@ -114,14 +114,6 @@ def fit_minor_expansion(F: Expr, base: BasePoint, seed: int = 0) -> MACoefficien
                           fit_residual, validation_residual, validation_scale)
 
 
-def minor_expansion(F: Expr, base: BasePoint, tol: float = DEFAULT_TOL,
-                    seed: int = 0) -> MACoefficients | None:
-    """Coefficients B0..Bn of F at ``base`` when F lies in the minor span
-    there (max validation residual <= tol * (1 + max |F|)), else None."""
-    fit = fit_minor_expansion(F, base, seed=seed)
-    return fit if fit.accepted(tol) else None
-
-
 @dataclass(frozen=True)
 class MAClassification:
     """Verdict with per-base-point diagnostics.
@@ -133,10 +125,6 @@ class MAClassification:
     classification: str
     fits: tuple[MACoefficients, ...]
     tolerance: float
-
-    @property
-    def is_monge_ampere(self) -> bool:
-        return self.classification != "non-ma"
 
 
 def _high_order_slice(n: int) -> np.ndarray:
@@ -195,11 +183,11 @@ def classify(F: Expr, n: int, box=(-2.0, 2.0), count: int = 16, seed: int = 0,
              tol: float = DEFAULT_TOL) -> MAClassification:
     """Classify F as linear / quasi-linear / monge-ampere / non-ma.
 
-    Runs minor_expansion at ``count`` random base points: any rejected fit
-    means non-ma.  All-accepted refines to quasi-linear when every degree >= 2
-    coefficient is below tol at every base point, and further to linear when
-    F is affine in (u, p) with coefficients that do not move across (u, p)
-    draws at fixed x.
+    Runs fit_minor_expansion at ``count`` random base points: any fit that
+    MACoefficients.accepted(tol) rejects means non-ma.  All-accepted refines
+    to quasi-linear when every degree >= 2 coefficient is below tol at every
+    base point, and further to linear when F is affine in (u, p) with
+    coefficients that do not move across (u, p) draws at fixed x.
     """
     rng = np.random.default_rng(seed)
     lo, hi = float(box[0]), float(box[1])

@@ -1,9 +1,11 @@
-"""Symmetric-form algebra and symmetric-matrix minor machinery.
+"""The geometry the criteria read: symbol forms and Hessian minors.
 
-Quadratic/quartic forms in n covector variables use dense coefficient
-storage; compound matrices, adjugates, the Hessian minor basis and the
-projective (Pluecker-type) embedding of symmetric matrices all share one
-fixed lexicographic indexing convention, documented on each class.
+QuadraticForm (the principal symbol S) and QuarticForm (the second symbol
+S2) are dense forms in n covector variables; factor_quartic tests S2 for
+divisibility by S.  minor_basis(n) lists the minors of a symmetric n x n
+matrix A: the Pluecker coordinates of its graph in LG(n, 2n).  Forms and
+minors use fixed lexicographic index orders, documented where they are
+defined.
 """
 
 from __future__ import annotations
@@ -43,17 +45,16 @@ def _combo_exponents(combo, n: int) -> tuple[int, ...]:
     return tuple(exp)
 
 
-class QuadraticForm:
-    """Homogeneous degree-2 polynomial q(xi) = sum_{i<=j} c_ij xi_i xi_j.
+class _Form:
+    """Homogeneous polynomial of ``degree`` in n covector variables, with
+    dense coefficients: slot k multiplies the product of xi_i over the k-th
+    index tuple of the subclass's monomial order."""
 
-    Coefficients are stored densely in quadratic_pairs(n) order.
-    """
-
-    degree = 2
+    # subclasses set degree and monomial_order: n -> one index tuple per slot
 
     def __init__(self, n: int, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (n * (n + 1) // 2,):
+        if coeffs.shape != (len(self.monomial_order(n)),):
             raise ValueError("coefficient vector has wrong length")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
@@ -62,86 +63,17 @@ class QuadraticForm:
         self.coeffs.flags.writeable = False
 
     @classmethod
-    def zero(cls, n: int) -> "QuadraticForm":
-        return cls(n, np.zeros(n * (n + 1) // 2))
-
-    @classmethod
-    def from_matrix(cls, A) -> "QuadraticForm":
-        """Form xi^T A xi of a symmetric matrix (off-diagonal entries doubled)."""
-        A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        return cls(n, [A[i, i] if i == j else 2.0 * A[i, j]
-                       for i, j in quadratic_pairs(n)])
-
-    def coeff(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        return float(self.coeffs[quadratic_pairs(self.n).index((i, j))])
-
-    def __call__(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
-        return float(sum(c * xi[i] * xi[j]
-                         for c, (i, j) in zip(self.coeffs, quadratic_pairs(self.n))))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0.0))
-
-    def scaled(self, c: float) -> "QuadraticForm":
-        return QuadraticForm(self.n, c * self.coeffs)
-
-    def allclose(self, other: "QuadraticForm", rtol=1e-9, atol=0.0) -> bool:
-        return self.n == other.n and np.allclose(self.coeffs, other.coeffs,
-                                                 rtol=rtol, atol=atol)
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticForm) and self.n == other.n
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def monomials(self) -> dict[str, float]:
-        """Exponent-vector keys like "2,0" -> coefficient (dense)."""
-        out = {}
-        for c, (i, j) in zip(self.coeffs, quadratic_pairs(self.n)):
-            exp = [0] * self.n
-            exp[i] += 1
-            exp[j] += 1
-            out[",".join(map(str, exp))] = float(c)
-        return out
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "degree": 2, "coefficients": self.monomials()}
-
-    def __repr__(self):
-        return f"QuadraticForm(n={self.n}, {self.monomials()})"
-
-
-class QuarticForm:
-    """Homogeneous degree-4 polynomial, dense coefficients in
-    quartic_combos(n) order (one slot per monomial)."""
-
-    degree = 4
-
-    def __init__(self, n: int, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(quartic_combos(n)),):
-            raise ValueError("coefficient vector has wrong length")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        self.n = n
-        self.coeffs = coeffs
-        self.coeffs.flags.writeable = False
-
-    @classmethod
-    def zero(cls, n: int) -> "QuarticForm":
-        return cls(n, np.zeros(len(quartic_combos(n))))
+    def zero(cls, n: int):
+        return cls(n, np.zeros(len(cls.monomial_order(n))))
 
     def __call__(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
         total = 0.0
-        for c, combo in zip(self.coeffs, quartic_combos(self.n)):
-            total += c * xi[combo[0]] * xi[combo[1]] * xi[combo[2]] * xi[combo[3]]
+        for c, combo in zip(self.coeffs, self.monomial_order(self.n)):
+            term = c
+            for i in combo:
+                term = term * xi[i]
+            total += term
         return float(total)
 
     def norm(self) -> float:
@@ -150,26 +82,39 @@ class QuarticForm:
     def is_zero(self) -> bool:
         return bool(np.all(self.coeffs == 0.0))
 
-    def scaled(self, c: float) -> "QuarticForm":
-        return QuarticForm(self.n, c * self.coeffs)
-
-    def allclose(self, other: "QuarticForm", rtol=1e-9, atol=0.0) -> bool:
+    def allclose(self, other: "_Form", rtol=1e-9, atol=0.0) -> bool:
         return self.n == other.n and np.allclose(self.coeffs, other.coeffs,
                                                  rtol=rtol, atol=atol)
 
     def __eq__(self, other):
-        return (isinstance(other, QuarticForm) and self.n == other.n
+        return (isinstance(other, type(self)) and self.n == other.n
                 and np.array_equal(self.coeffs, other.coeffs))
 
     def monomials(self) -> dict[str, float]:
+        """Exponent-vector keys like "2,0" -> coefficient (dense)."""
         return {",".join(map(str, _combo_exponents(combo, self.n))): float(c)
-                for c, combo in zip(self.coeffs, quartic_combos(self.n))}
+                for c, combo in zip(self.coeffs, self.monomial_order(self.n))}
 
     def to_json(self) -> dict:
-        return {"n": self.n, "degree": 4, "coefficients": self.monomials()}
+        return {"n": self.n, "degree": self.degree,
+                "coefficients": self.monomials()}
 
     def __repr__(self):
-        return f"QuarticForm(n={self.n}, {self.monomials()})"
+        return f"{type(self).__name__}(n={self.n}, {self.monomials()})"
+
+
+class QuadraticForm(_Form):
+    """q(xi) = sum_{i<=j} c_ij xi_i xi_j, in quadratic_pairs(n) order."""
+
+    degree = 2
+    monomial_order = staticmethod(quadratic_pairs)
+
+
+class QuarticForm(_Form):
+    """Degree-4 form, one slot per monomial in quartic_combos(n) order."""
+
+    degree = 4
+    monomial_order = staticmethod(quartic_combos)
 
 
 def multiply_quadratics(a: QuadraticForm, b: QuadraticForm) -> QuarticForm:
@@ -231,54 +176,7 @@ def factor_quartic(q: QuarticForm, s: QuadraticForm, tol: float
 
 
 # ---------------------------------------------------------------------------
-# Compound matrices, adjugate, minors
-
-
-def compound(A, k: int) -> np.ndarray:
-    """k-th compound: entry (I, J) is det A[I, J], with k-subsets of rows and
-    columns in lexicographic order.  compound(A, 0) = [[1]], compound(A, 1) = A,
-    compound(A, n) = [[det A]].  Symmetric input gives symmetric output."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("A must be square")
-    if not 0 <= k <= n:
-        raise ValueError(f"compound order k={k} out of range 0..{n}")
-    subsets = list(combinations(range(n), k))
-    out = np.empty((len(subsets), len(subsets)))
-    for r, I in enumerate(subsets):
-        for c, J in enumerate(subsets):
-            out[r, c] = _det(A[np.ix_(I, J)])
-    return out
-
-
-def _det(M: np.ndarray) -> float:
-    m = M.shape[0]
-    if m == 0:
-        return 1.0
-    if m == 1:
-        return float(M[0, 0])
-    if m == 2:
-        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    return float(np.linalg.det(M))
-
-
-def adjugate(A) -> np.ndarray:
-    """Classical adjugate; satisfies A @ adj(A) = det(A) * I."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or n < 1:
-        raise ValueError("A must be square, n >= 1")
-    if n == 1:
-        return np.array([[1.0]])
-    adj = np.empty((n, n))
-    rows = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            minor = A[np.ix_([r for r in rows if r != i],
-                             [c for c in rows if c != j])]
-            adj[j, i] = (-1.0) ** (i + j) * _det(minor)
-    return adj
+# Hessian minors
 
 
 @dataclass(frozen=True)
@@ -300,8 +198,9 @@ class MinorDescriptor:
 class MinorBasis:
     """All deduplicated minors of an n x n symmetric matrix, grouped by order
     k = 0..n; within each k the (I, J) pairs are lexicographic with I <= J.
-    The first entry is the constant 1, the last the full determinant.  This
-    order matches pluecker_embed coordinate for coordinate."""
+    The first entry is the constant 1, the last the full determinant, so
+    evaluate(A) gives the Pluecker coordinates of the graph of A in LG(n, 2n)
+    with leading coordinate 1."""
 
     def __init__(self, n: int):
         if not MIN_N <= n <= MAX_N:
@@ -333,9 +232,9 @@ class MinorBasis:
 
     def evaluate(self, A) -> np.ndarray:
         """Minors of A, or of each matrix of a stack A of shape (..., n, n);
-        the basis runs along the last axis of the result.  Order 2 uses the
-        closed form of _det and orders >= 3 one stacked np.linalg.det, so
-        each value equals _det of the submatrix bit for bit."""
+        the basis runs along the last axis of the result.  Order 1 takes the
+        entry, order 2 the closed form a*d - b*c and orders >= 3 one stacked
+        np.linalg.det over all submatrices of that order."""
         A = np.asarray(A, dtype=float)
         if A.shape[-2:] != (self.n, self.n):
             raise ValueError("matrix dimension mismatch")
@@ -356,36 +255,3 @@ class MinorBasis:
 @lru_cache(maxsize=8)
 def minor_basis(n: int) -> MinorBasis:
     return MinorBasis(n)
-
-
-def pluecker_embed(A) -> np.ndarray:
-    """Projective coordinates [(A^(0), A^(1), ..., A^(n))]: the concatenated
-    upper-triangular entries (row-major) of every compound, leading
-    coordinate 1.  These are the minor_basis(n) minors of A."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("A must be square")
-    if not MIN_N <= n <= MAX_N:
-        raise ValueError(f"pluecker_embed supports {MIN_N} <= n <= {MAX_N}")
-    return minor_basis(n).evaluate(A)
-
-
-def lie_quadric_residual(z) -> float:
-    """Defining quadric of the n=2 embedding image: z0*z3 - (z11*z22 - z12^2)
-    for coordinates (z0, z11, z12, z22, z3); zero exactly on the image."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (5,):
-        raise ValueError("expected a 5-vector")
-    return float(z[0] * z[4] - (z[1] * z[3] - z[2] ** 2))
-
-
-def rank_one_deform(A, v, t: float) -> np.ndarray:
-    """A + t * v v^T: the line of symmetric matrices through A with rank-one
-    direction v (for n=2 and v=(1, lambda) this is the curve whose velocity
-    is d/du11 + lambda d/du12 + lambda^2 d/du22)."""
-    A = np.asarray(A, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.any(v != 0.0):
-        raise ValueError("deformation direction v must be nonzero")
-    return A + t * np.outer(v, v)

@@ -3,16 +3,18 @@
 Each oracle recomputes a quantity through a route the production code never
 takes: a direct tree-walk evaluator, central finite differences, order-2
 Taylor (jet) arithmetic for rank-one directional derivatives, exact
-multivariate long division, and coefficient recovery from sampled values.
+multivariate long division, coefficient recovery from sampled values, and
+compound matrices and adjugates built one submatrix at a time.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from cepde.expr import Const, Expr, JetPoint, Power, Unary, Var
+from cepde.expr import Binary, Const, Expr, JetPoint, Power, Unary, Var
 from cepde.tensor import QuadraticForm, QuarticForm, quadratic_pairs, quartic_combos
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,23 @@ def tree_eval(e: Expr, values: dict) -> float:
     if e.op == "*":
         return v1 * v2
     return v1 / v2
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Unary):
+        return (e.arg,)
+    if isinstance(e, Binary):
+        return (e.lhs, e.rhs)
+    if isinstance(e, Power):
+        return (e.base,)
+    return ()
+
+
+def variables_of(e: Expr) -> set[str]:
+    """All variable names referenced by e."""
+    if isinstance(e, Var):
+        return {e.name}
+    return set().union(*map(variables_of, children(e)))
 
 
 def point_values(pt: JetPoint) -> dict:
@@ -163,6 +182,44 @@ def form_from_direction_values(n: int, degree: int, evaluator) -> np.ndarray:
     vals = np.array([evaluator(xi) for xi in dirs])
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Compound matrices and adjugates, one submatrix determinant at a time
+
+
+def _det(M: np.ndarray) -> float:
+    m = M.shape[0]
+    if m == 0:
+        return 1.0
+    if m == 1:
+        return float(M[0, 0])
+    if m == 2:
+        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+    return float(np.linalg.det(M))
+
+
+def compound(A, k: int) -> np.ndarray:
+    """k-th compound: entry (I, J) is det A[I, J], with k-subsets of rows and
+    columns in lexicographic order."""
+    A = np.asarray(A, dtype=float)
+    subsets = list(combinations(range(A.shape[0]), k))
+    return np.array([[_det(A[np.ix_(I, J)]) for J in subsets] for I in subsets])
+
+
+def adjugate(A) -> np.ndarray:
+    """Classical adjugate; satisfies A @ adj(A) = det(A) * I."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    if n == 1:
+        return np.array([[1.0]])
+    adj = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            rest_i = [r for r in range(n) if r != i]
+            rest_j = [c for c in range(n) if c != j]
+            adj[j, i] = (-1.0) ** (i + j) * _det(A[np.ix_(rest_i, rest_j)])
+    return adj
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from cepde.expr import Binary, JetPoint, parse, to_text
 from cepde.ma import classify
 from cepde.symbol import (is_completely_exceptional, sample_zero_locus,
                           second_symbol)
-from cepde.tensor import (adjugate, compound, lie_quadric_residual,
-                          pluecker_embed, rank_one_deform)
+from cepde.tensor import minor_basis
 from conftest import random_jetpoint
+from oracles import adjugate, compound
 from test_charvar import fd_speed_gradient
 from test_expr import fd_pairs
 
@@ -88,7 +88,8 @@ def test_criterion_3_lie_quadric_and_adjugate():
         for _ in range(1000):
             A = rng.uniform(-3, 3, size=(2, 2))
             A = (A + A.T) / 2.0
-            r = lie_quadric_residual(pluecker_embed(A))
+            z = minor_basis(2).evaluate(A)
+            r = z[0] * z[4] - (z[1] * z[3] - z[2] ** 2)
             ok = ok and abs(r) <= 1e-10 * (1.0 + np.linalg.norm(A) ** 4)
         for n in (2, 3, 4):
             for _ in range(100):
@@ -116,7 +117,7 @@ def test_criterion_4_embedded_lines_straight():
             if np.linalg.norm(v) < 1e-6:
                 continue
             done += 1
-            zs = [pluecker_embed(rank_one_deform(A, v, t_)) for t_ in (0.0, 1.0, 2.0)]
+            zs = [minor_basis(2).evaluate(A + t_ * np.outer(v, v)) for t_ in (0.0, 1.0, 2.0)]
             resid = np.linalg.norm(zs[0] - 2.0 * zs[1] + zs[2])
             ok = ok and resid <= 1e-9 * (1.0 + max(np.linalg.norm(z) for z in zs))
     _verdict(4, "rank-one deformations embed as straight lines", ok, t)

@@ -117,7 +117,7 @@ def fd_speed_gradient(F, pt, branch, h=1e-5):
             i, j = int(name[1]) - 1, int(name[2]) - 1
             H[i, j] += sign * h
             H[j, i] = H[i, j]
-            sp = characteristic_speeds(F, pt.with_hessian(H))
+            sp = characteristic_speeds(F, JetPoint.make(pt.x, pt.u, pt.p, H))
             lams = [r.affine for r in sp.roots if not r.is_infinite]
             shifted.append(min(lams, key=lambda v: abs(v - lam0)))
         grads.append((shifted[0] - shifted[1]) / (2.0 * h))
@@ -230,15 +230,14 @@ class TestStrongCharTest:
         # sqrt(u11 + 1) is undefined for u11 < -1: the grid points with
         # t < -0.5 leave F's domain and are skipped, the rest are judged
         from cepde.expr import EvaluationDomainError, evaluate
-        from cepde.tensor import rank_one_deform
 
         F = parse("sqrt(u11 + 1) - u22", 2)
         pt = pt2(-0.5, 0.0, math.sqrt(0.5))
         for branch in (0, 1):
             res = strong_char_test(F, pt, branch)
             v = np.array([1.0, characteristic_speeds(F, pt).roots[branch].affine])
-            devs = [abs(evaluate(F, pt.with_hessian(
-                        rank_one_deform(pt.hessian(), v, t))))
+            devs = [abs(evaluate(F, JetPoint.make(
+                        pt.x, pt.u, pt.p, pt.hessian() + t * np.outer(v, v))))
                     for t in np.linspace(-0.5, 1.0, 16)]
             assert not res.passed
             assert res.max_deviation == pytest.approx(max(devs), rel=1e-12)
@@ -249,7 +248,6 @@ class TestStrongCharTest:
         # characteristic <=> first-order tangency: |F(t)| = O(t^2), with C
         # estimated from t = 0.1
         from cepde.expr import evaluate
-        from cepde.tensor import rank_one_deform
 
         for text, seed in (("u11^2 - u22", 61), ("u11 - u22^3/3 - u22", 62)):
             F = parse(text, 2)
@@ -261,8 +259,8 @@ class TestStrongCharTest:
                     v = np.array([1.0, root.affine])
 
                     def F_at(t):
-                        return evaluate(F, pt.with_hessian(
-                            rank_one_deform(pt.hessian(), v, t)))
+                        return evaluate(F, JetPoint.make(
+                            pt.x, pt.u, pt.p, pt.hessian() + t * np.outer(v, v)))
 
                     C = abs(F_at(0.1)) / 0.01 + 1e-6
                     for t in (1e-2, -1e-2, 1e-3, -1e-3):
@@ -273,7 +271,7 @@ class TestHyperbolicityScan:
     def test_wave_all_hyperbolic(self):
         F = parse("u11 - u22", 2)
         scan = hyperbolicity_scan(F, sample_zero_locus(F, 2, count=32, seed=7))
-        assert scan.fraction_hyperbolic == 1.0
+        assert scan.fractions == {"hyperbolic": 1.0}
 
     def test_laplace_all_elliptic(self):
         F = parse("u11 + u22", 2)
@@ -283,7 +281,7 @@ class TestHyperbolicityScan:
     def test_ma_plus_one_all_hyperbolic(self):
         F = parse("u11*u22 - u12^2 + 1", 2)
         scan = hyperbolicity_scan(F, sample_zero_locus(F, 2, count=32, seed=7))
-        assert scan.fraction_hyperbolic == 1.0  # det H = -1 < 0 on the locus
+        assert scan.fractions == {"hyperbolic": 1.0}  # det H = -1 < 0 on the locus
 
     def test_homogeneous_ma_all_parabolic(self):
         F = parse("u11*u22 - u12^2", 2)

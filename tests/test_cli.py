@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 import shutil
 from pathlib import Path
@@ -138,6 +141,30 @@ class TestClassifyCommand:
         with pytest.raises(SystemExit) as exc:
             run(["classify", "--pde", "u11", "--n", "2", "--box", "3:1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("option", [
+        ["--samples", "0"], ["--samples", "-3"], ["--tol", "0"], ["--tol", "-1"],
+        ["--tol", "nan"], ["--box=-inf:2"], ["--seed", "-1"]], ids=" ".join)
+    def test_out_of_range_option_is_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--pde", "u11*u22 - u12^2 - 1", "--n", "2", *option])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    def test_python_dash_m(self, tmp_path):
+        import cepde
+
+        src = str(Path(cepde.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in (["--version"], ["classify", "--pde", "u11 - u22", "--n", "2"]):
+            proc = subprocess.run([sys.executable, "-m", "cepde", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["overall_verdict"].startswith("completely")
 
     def test_report_schema_valid(self, tmp_path):
         out = tmp_path / "r.json"

@@ -12,7 +12,7 @@ from cepde.ma import classify
 from cepde.symbol import (is_completely_exceptional, principal_symbol,
                           second_symbol)
 from conftest import random_jetpoint
-from oracles import form_from_direction_values, rank_one_derivatives
+from oracles import adjugate, form_from_direction_values, rank_one_derivatives
 
 DET3 = ("u11*(u22*u33 - u23^2) - u12*(u12*u33 - u13*u23)"
         " + u13*(u12*u23 - u13*u22)")
@@ -32,8 +32,6 @@ def test_n3_classification(text, expected_exceptional, expected_class):
 
 
 def test_n3_determinant_symbol_is_adjugate(rng):
-    from cepde.tensor import adjugate
-
     F = parse(DET3, 3)
     for _ in range(5):
         pt = random_jetpoint(rng, 3)

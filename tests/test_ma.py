@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cepde.expr import parse
-from cepde.ma import (BasePoint, classify, fit_minor_expansion, minor_expansion)
+from cepde.ma import BasePoint, classify, fit_minor_expansion
 from cepde.symbol import is_completely_exceptional
 
 MA_FAMILY = ("linear", "quasi-linear", "monge-ampere")
@@ -17,8 +17,8 @@ class TestMinorExpansion:
     def test_constructed_combination(self):
         # F = 3 + 2*u11 - 5*det in the basis [1, u11, u12, u22, det]
         F = parse("3 + 2*u11 - 5*(u11*u22 - u12^2)", 2)
-        fit = minor_expansion(F, base2(), tol=1e-7, seed=0)
-        assert fit is not None
+        fit = fit_minor_expansion(F, base2(), seed=0)
+        assert fit.accepted(1e-7)
         assert fit.coefficients == pytest.approx([3.0, 2.0, 0.0, 0.0, -5.0],
                                                  abs=1e-9)
         assert fit.fit_residual <= 1e-10
@@ -26,15 +26,15 @@ class TestMinorExpansion:
 
     def test_square_rejected_with_residual(self):
         F = parse("u11^2 - u22", 2)
-        assert minor_expansion(F, base2(), tol=1e-7, seed=0) is None
         fit = fit_minor_expansion(F, base2(), seed=0)
+        assert not fit.accepted(1e-7)
         assert fit.validation_residual > 1e-2  # far outside the minor span
 
     def test_base_variable_coefficients(self):
         F = parse("sin(x1)*u11 + u*(u11*u22 - u12^2)", 2)
         base = base2(x=(math.pi / 2.0, 0.4), u=1.0)
-        fit = minor_expansion(F, base, tol=1e-7, seed=1)
-        assert fit is not None
+        fit = fit_minor_expansion(F, base, seed=1)
+        assert fit.accepted(1e-7)
         assert fit.coefficients[1] == pytest.approx(1.0, abs=1e-9)  # B1^{11}
         assert fit.coefficients[4] == pytest.approx(1.0, abs=1e-9)  # B_det
         assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-9)
@@ -72,7 +72,7 @@ class TestClassify:
     def test_non_ma(self):
         got = classify(parse("u11^2 - u22", 2), 2, seed=3)
         assert got.classification == "non-ma"
-        assert not got.is_monge_ampere
+        assert not all(fit.accepted(got.tolerance) for fit in got.fits)
 
     def test_linear_with_x_coefficients(self):
         got = classify(parse("sin(x1)*u11 + exp(x2/4)*u22 + x1*u + u1 - 1", 2),

@@ -1,5 +1,6 @@
 """Guards on the checkout itself: git tracks no file that .gitignore lists,
-and the benchmark harness still runs against the package's current names."""
+the package exports what its __all__ names, and the benchmark harness still
+runs against the package's current names."""
 
 import json
 import os
@@ -20,6 +21,16 @@ def test_no_tracked_file_is_ignored():
         ["git", "ls-files", "--cached", "--ignored", "--exclude-standard"],
         cwd=ROOT, capture_output=True, text=True, check=True)
     assert proc.stdout == ""
+
+
+def test_public_names_resolve():
+    import cepde
+
+    missing = [name for name in cepde.__all__ if not hasattr(cepde, name)]
+    assert missing == []
+    namespace = {}
+    exec("from cepde import *", namespace)
+    assert set(cepde.__all__) <= set(namespace)
 
 
 def test_benchmark_harness_smoke():

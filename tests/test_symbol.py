@@ -5,9 +5,8 @@ from cepde.expr import Binary, JetPoint, parse
 from cepde.symbol import (SamplingError, exceptionality_at_point,
                           is_completely_exceptional, principal_symbol,
                           sample_zero_locus, second_symbol)
-from cepde.tensor import adjugate
 from conftest import random_jetpoint
-from oracles import (form_from_direction_values, rank_one_derivatives,
+from oracles import (adjugate, form_from_direction_values, rank_one_derivatives,
                      scalar_zero_locus)
 
 MULTIPLIERS = ["2", "1 + u1^2", "exp(u)"]
