@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .expr import EvaluationDomainError, Expr, JetPoint
+from .expr import EvaluationDomainError, Expr, JetPoint, symmetric_from_upper
 from .symbol import (DEFAULT_TOL, DEGENERATE_SYMBOL_TOL, SampleRecord, _checked,
-                     _first_partials, _point_partials, _second_partial_matrix,
-                     _second_partials, exceptionality_records, sample_zero_locus)
+                     _first_partials, _point_partials, _second_partials,
+                     exceptionality_records, sample_zero_locus)
 
 HYPERBOLIC_TYPE_TOL = 1e-9   # |b^2-4ac| <= tol*(a^2+b^2+c^2) is parabolic
 NEAR_PARABOLIC_TOL = 1e-7    # relative floor for the b + 2c*lambda denominator
@@ -125,13 +125,14 @@ def speed_gradient(F: Expr, pt: JetPoint, branch: int
     """(d lambda/du11, d lambda/du12, d lambda/du22) for a finite hyperbolic
     root, by implicit differentiation of a + b*lambda + c*lambda^2 = 0."""
     second = _point_partials(_second_partials(F, 2), pt, finite=False)
-    D = _second_partial_matrix(second, 2)
+    D = symmetric_from_upper(second, 3)
     return _gradient(characteristic_speeds(F, pt), D, branch)
 
 
 def _gradient(speeds: CharSpeeds, D: np.ndarray, branch: int
               ) -> tuple[float, float, float]:
-    """speed_gradient from the speeds and the second-partial matrix."""
+    """speed_gradient from the speeds and the second-partial matrix D over
+    the Hessian entries (u11, u12, u22)."""
     if speeds.kind != "hyperbolic":
         raise ValueError(f"speed gradient needs a hyperbolic point, got {speeds.kind}")
     root = speeds.roots[branch]
@@ -156,7 +157,7 @@ def lax_residual(F: Expr, pt: JetPoint, branch: int) -> float:
     it becomes the finite root lambda' = 0 of the swapped expression.
     """
     second = _point_partials(_second_partials(F, 2), pt, finite=False)
-    D = _second_partial_matrix(second, 2)
+    D = symmetric_from_upper(second, 3)
     return _lax(characteristic_speeds(F, pt), D, branch)
 
 
@@ -339,7 +340,7 @@ def equivalence_report(F: Expr, box=(-2.0, 2.0), count: int = 64, seed: int = 0,
             if sp.kind != "hyperbolic":
                 skipped[sp.kind] = skipped.get(sp.kind, 0) + 1
                 continue
-            D = _second_partial_matrix(rec.second, 2)
+            D = symmetric_from_upper(rec.second, 3)
             try:
                 lax = tuple(_lax(sp, D, k) for k in range(2))
             except NearParabolicError:

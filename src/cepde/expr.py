@@ -3,7 +3,8 @@
 A PDE left-hand side F is an expression in the jet variables of one dependent
 variable u and n independent variables: ``x1..xn``, ``u``, ``u1..un`` (first
 derivatives) and ``uij`` with i <= j (second derivatives, canonical
-upper-triangular naming; ``u21`` is rejected, not aliased).
+upper-triangular naming; ``u21`` is rejected, not aliased).  Every index is
+one digit, so 2 <= n <= 9.
 
 Expr and JetPoint are immutable values; every function here is pure and safe
 to call concurrently.
@@ -96,7 +97,7 @@ class Power(Expr):
 # ---------------------------------------------------------------------------
 # Variable naming
 
-_NAME_RE = re.compile(r"^(?:u|x(\d+)|u(\d+)|u_(\d+)(?:_(\d+))?)$")
+_NAME_RE = re.compile(r"^(?:u|x(\d+)|u(\d+))$")
 
 
 def parse_variable_name(name: str) -> tuple[str, int, int]:
@@ -113,46 +114,40 @@ def parse_variable_name(name: str) -> tuple[str, int, int]:
         return ("u", 0, 0)
     if m.group(1) is not None:
         return ("x", int(m.group(1)), 0)
-    if m.group(2) is not None:
-        digits = m.group(2)
-        if len(digits) == 2:
-            i, j = int(digits[0]), int(digits[1])
-            if i == 0 or j == 0:
-                raise ValueError(f"zero index in {name!r}")
-            if i > j:
-                raise ValueError(
-                    f"non-canonical Hessian name {name!r}: write u{j}{i} (i <= j)"
-                )
-            return ("h", i, j)
-        return ("p", int(digits), 0)
-    # underscore form u_i or u_i_j (needed once n has two-digit indices)
-    i = int(m.group(3))
-    if m.group(4) is None:
-        return ("p", i, 0)
-    j = int(m.group(4))
-    if i == 0 or j == 0:
-        raise ValueError(f"zero index in {name!r}")
-    if i > j:
-        raise ValueError(f"non-canonical Hessian name {name!r}: use i <= j")
-    return ("h", i, j)
+    digits = m.group(2)
+    if len(digits) == 2:
+        i, j = int(digits[0]), int(digits[1])
+        if i == 0 or j == 0:
+            raise ValueError(f"zero index in {name!r}")
+        if i > j:
+            raise ValueError(
+                f"non-canonical Hessian name {name!r}: write u{j}{i} (i <= j)"
+            )
+        return ("h", i, j)
+    return ("p", int(digits), 0)
 
 
-def hessian_name(i: int, j: int, n: int) -> str:
+def hessian_name(i: int, j: int) -> str:
     """Canonical name of the (i, j) Hessian entry, 1-based, i <= j."""
-    if i > j:
-        i, j = j, i
-    if n <= 9:
-        return f"u{i}{j}"
-    return f"u_{i}_{j}"
-
-
-def first_deriv_name(i: int, n: int) -> str:
-    return f"u{i}" if n <= 9 else f"u_{i}"
+    return f"u{min(i, j)}{max(i, j)}"
 
 
 def hessian_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Upper-triangular index pairs (1-based), row-major."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
+
+
+def symmetric_from_upper(upper, n: int) -> np.ndarray:
+    """The symmetric n x n matrices whose row-major upper triangles (the
+    order of hessian_pairs(n)) run along the last axis of upper."""
+    upper = np.asarray(upper, dtype=float)
+    pairs = hessian_pairs(n)
+    i = [a - 1 for a, _ in pairs]
+    j = [b - 1 for _, b in pairs]
+    out = np.zeros(upper.shape[:-1] + (n, n))
+    # each upper-triangle entry goes to (i, j) and to (j, i)
+    out[..., i + j, j + i] = np.concatenate([upper, upper], axis=-1)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -161,8 +156,8 @@ def variable_layout(n: int) -> tuple[str, ...]:
     x1..xn, u, u1..un, then Hessian entries in row-major upper order."""
     names = [f"x{i}" for i in range(1, n + 1)]
     names.append("u")
-    names += [first_deriv_name(i, n) for i in range(1, n + 1)]
-    names += [hessian_name(i, j, n) for i, j in hessian_pairs(n)]
+    names += [f"u{i}" for i in range(1, n + 1)]
+    names += [hessian_name(i, j) for i, j in hessian_pairs(n)]
     return tuple(names)
 
 
@@ -224,12 +219,7 @@ class JetPoint:
 
     def hessian(self) -> np.ndarray:
         """Full symmetric matrix (mirrored from the stored upper triangle)."""
-        n = self.n
-        H = np.zeros((n, n))
-        for k, (i, j) in enumerate(hessian_pairs(n)):
-            H[i - 1, j - 1] = self.h_upper[k]
-            H[j - 1, i - 1] = self.h_upper[k]
-        return H
+        return symmetric_from_upper(self.h_upper, self.n)
 
     def to_vector(self) -> np.ndarray:
         """Values in variable_layout(n) order."""
@@ -363,8 +353,8 @@ def parse(text: str, n: int) -> Expr:
     Printing the result with to_text() and re-parsing yields a structurally
     identical tree.  Constant subtrees made only of literals are folded.
     """
-    if n < 2:
-        raise ValueError("dimension n must be >= 2")
+    if not 2 <= n <= 9:  # jet-variable names have one digit per index
+        raise ValueError(f"dimension n must be in 2..9, got {n}")
     return _Parser(text, n).parse()
 
 

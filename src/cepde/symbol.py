@@ -19,8 +19,8 @@ from . import backend
 from .expr import (EvaluationDomainError, Expr, JetPoint, differentiate,
                    hessian_name, hessian_pairs, jetpoint_from_vector,
                    variable_layout)
-from .tensor import (QuadraticForm, QuarticForm, _quartic_index, factor_quartic,
-                     quadratic_pairs, quartic_combos)
+from .tensor import (QuadraticForm, QuarticForm, _product_index, factor_quartic,
+                     quartic_combos)
 
 # A symbol with coefficient 2-norm at or below this is treated as the zero
 # form (degenerate: it divides only the zero quartic).
@@ -42,7 +42,7 @@ class SamplingError(Exception):
 @lru_cache(maxsize=1024)
 def _first_partials(F: Expr, n: int) -> tuple[Expr, ...]:
     """dF/du_ij in hessian_pairs(n) order."""
-    return tuple(differentiate(F, hessian_name(i, j, n))
+    return tuple(differentiate(F, hessian_name(i, j))
                  for i, j in hessian_pairs(n))
 
 
@@ -51,19 +51,9 @@ def _second_partials(F: Expr, n: int) -> tuple[Expr, ...]:
     """Distinct d2F/du_ij du_kl: the pair-index pairs p1 <= p2 into
     hessian_pairs(n), row-major (the order of np.triu_indices)."""
     firsts = _first_partials(F, n)
-    names = [hessian_name(i, j, n) for i, j in hessian_pairs(n)]
+    names = [hessian_name(i, j) for i, j in hessian_pairs(n)]
     return tuple(differentiate(firsts[p1], names[p2])
                  for p1 in range(len(names)) for p2 in range(p1, len(names)))
-
-
-def _second_partial_matrix(second: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric matrix of d2F/du_ij du_kl over hessian_pairs(n) from
-    the values of _second_partials."""
-    m = len(hessian_pairs(n))
-    D = np.zeros((m, m))
-    upper = np.triu_indices(m)
-    D[upper] = D[upper[::-1]] = second
-    return D
 
 
 def _partials(exprs, n: int, varmat: np.ndarray, finite: bool = True):
@@ -97,14 +87,12 @@ def _point_partials(exprs, pt: JetPoint, finite: bool = True) -> np.ndarray:
 
 def _second_symbol_rows(second: np.ndarray, n: int) -> np.ndarray:
     """S2 coefficients per row of the _second_partials values second."""
-    pairs = quadratic_pairs(n)  # 0-based twin of hessian_pairs
-    index = _quartic_index(n)
+    slot = _product_index(n)
     out = np.zeros((len(second), len(quartic_combos(n))))
-    for k, (p1, p2) in enumerate(zip(*np.triu_indices(len(pairs)))):
+    for k, (p1, p2) in enumerate(zip(*np.triu_indices(len(slot)))):
         # distinct unordered pairs occur twice in the symmetric double sum;
         # adding a zero leaves a sum that started at +0.0 unchanged
-        combo = tuple(sorted(pairs[p1] + pairs[p2]))
-        out[:, index[combo]] += second[:, k] if p1 == p2 else 2.0 * second[:, k]
+        out[:, slot[p1, p2]] += second[:, k] if p1 == p2 else 2.0 * second[:, k]
     return out
 
 

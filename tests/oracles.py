@@ -158,7 +158,7 @@ def rank_one_derivatives(e: Expr, pt: JetPoint, xi) -> tuple[float, float]:
     from cepde.expr import hessian_name, hessian_pairs
 
     base = point_values(pt)
-    direction = {hessian_name(i, j, pt.n): xi[i - 1] * xi[j - 1]
+    direction = {hessian_name(i, j): xi[i - 1] * xi[j - 1]
                  for i, j in hessian_pairs(pt.n)}
     jet = jet_eval(e, base, direction)
     return jet.d, jet.dd
@@ -352,7 +352,7 @@ def scalar_zero_locus(F: Expr, n: int, box=(-2.0, 2.0), count: int = 64,
     lo, hi = box
     rng = np.random.default_rng(seed)
     layout = variable_layout(n)
-    names = [hessian_name(i, j, n) for i, j in hessian_pairs(n)]
+    names = [hessian_name(i, j) for i, j in hessian_pairs(n)]
     points, attempt = [], 0
     with np.errstate(all="ignore"):
         for _ in range(count):

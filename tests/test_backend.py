@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cepde import backend
-from cepde._tape import compile_expr
+from cepde.backend import compile_expr
 from cepde.expr import EvaluationDomainError, parse, variable_layout
 from conftest import random_jetpoint
 

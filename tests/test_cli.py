@@ -49,8 +49,11 @@ class TestClassifyCommand:
         assert lines[2].index("^") - 2 == 4  # caret under the offending byte
 
     def test_unknown_variable_exit(self, capsys):
-        assert run(["classify", "--pde", "u21", "--n", "2"]) == 1
-        assert "u21" in capsys.readouterr().err
+        # every index is one digit: u_i and u_i_j are not jet variables
+        for pde in ("u21", "u_1_1 + u22", "u_1 + u11"):
+            assert run(["classify", "--pde", pde, "--n", "2"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and pde.split()[0] in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,12 +261,13 @@ class TestCorpusCommand:
 
     def test_unparseable_expression_rejected(self, tmp_path, capsys):
         f = tmp_path / "bad_expr.json"
-        f.write_text(json.dumps([{
-            "name": "broken", "n": 2, "expression": "u11 +",
-            "expected_classification": "linear", "expected_exceptional": True,
-        }]))
-        assert run(["corpus", "--file", str(f)]) == 1
-        assert "does not parse" in capsys.readouterr().err
+        for expression in ("u11 +", "u_1_1 + u22"):
+            f.write_text(json.dumps([{
+                "name": "broken", "n": 2, "expression": expression,
+                "expected_classification": "linear", "expected_exceptional": True,
+            }]))
+            assert run(["corpus", "--file", str(f)]) == 1
+            assert "does not parse" in capsys.readouterr().err
 
     def test_entry_without_zero_locus_is_inconclusive(self, capsys, tmp_path):
         entries = json.loads(Path(bundled_corpus_path()).read_text())[:1]

@@ -68,6 +68,8 @@ class TestParse:
     def test_dimension_precondition(self):
         with pytest.raises(ValueError):
             parse("u", 1)
+        with pytest.raises(ValueError):  # x10 or u10 could not be written
+            parse("u", 10)
 
 
 class TestPrintRoundTrip:

@@ -88,6 +88,17 @@ class TestClassify:
         got = classify(parse("u11 + u22 + u1^2", 2), 2, seed=3)
         assert got.classification == "quasi-linear"
 
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("expression, n, expected", [
+        ("u11 + u22 + u33 + x1*u", 3, "linear"),
+        ("exp(x1)*u11 + u22 + u33 + u44", 4, "linear"),
+        ("u*u11 + u22 + u33", 3, "quasi-linear"),   # affine in u and in H apart
+        ("u11 + u22 + u*u1", 2, "quasi-linear"),    # a (u, p) cross term
+    ])
+    def test_linear_step(self, expression, n, expected, seed):
+        got = classify(parse(expression, n), n, seed=seed)
+        assert got.classification == expected
+
     def test_corpus_expectations(self, corpus_entries, corpus_exprs):
         for entry in corpus_entries:
             F, n = corpus_exprs[entry["name"]]

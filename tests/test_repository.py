@@ -1,7 +1,9 @@
 """Guards on the checkout itself: git tracks no file that .gitignore lists,
-the package exports what its __all__ names, and the benchmark harness still
-runs against the package's current names."""
+the package exports what its __all__ names and keeps no unused private
+helper, and the benchmark harness still runs against the package's current
+names."""
 
+import ast
 import json
 import os
 import shutil
@@ -31,6 +33,38 @@ def test_public_names_resolve():
     namespace = {}
     exec("from cepde import *", namespace)
     assert set(cepde.__all__) <= set(namespace)
+
+
+def _defined_names(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_no_unreferenced_private_names():
+    # a module-level _name that nothing in the package reads is dead code;
+    # a function's references to itself do not count
+    paths = sorted((ROOT / "src" / "cepde").glob("*.py"))
+    assert paths
+    defined, used = {}, set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _defined_names(node)
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.name
+            for sub in ast.walk(node):
+                ref = (sub.id if isinstance(sub, ast.Name)
+                       and isinstance(sub.ctx, ast.Load)
+                       else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if ref is not None and ref not in own:
+                    used.add(ref)
+    unused = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in used)
+    assert unused == []
 
 
 def test_benchmark_harness_smoke():
