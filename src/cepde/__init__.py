@@ -9,10 +9,10 @@ for n=2 hyperbolic equations, against characteristic-speed criteria
 """
 
 from .charvar import (CharSpeeds, EquivalenceReport, NearParabolicError,
-                      ProjectiveRoot, StrongCharResult, TotallyDegenerateError,
-                      char_poly_coeffs, characteristic_speeds,
-                      equivalence_report, hyperbolicity_scan, lax_residual,
-                      speed_gradient, strong_char_test)
+                      ProjectiveRoot, StrongCharResult, char_poly_coeffs,
+                      characteristic_speeds, equivalence_report,
+                      hyperbolicity_scan, lax_residual, speed_gradient,
+                      strong_char_test)
 from .expr import (EvaluationDomainError, Expr, ExprDimensionError, JetPoint,
                    ParseError, UnknownVariableError, differentiate, evaluate,
                    parse, swap_xy, to_text)
@@ -50,7 +50,7 @@ __all__ = [
     "CharSpeeds", "ProjectiveRoot", "char_poly_coeffs", "characteristic_speeds",
     "speed_gradient", "lax_residual", "strong_char_test", "hyperbolicity_scan",
     "equivalence_report", "EquivalenceReport", "StrongCharResult",
-    "TotallyDegenerateError", "NearParabolicError",
+    "NearParabolicError",
 ]
 
 

@@ -1,12 +1,15 @@
-"""n=2 characteristics: hyperbolicity typing, characteristic speeds, the
-speed-gradient (Lax) residual, strong-characteristic containment, and the
-three-way equivalence report.
+"""n=2 characteristics, one function per stage of criterion 3.
 
 A covector (xi, eta) is characteristic at a jet point when
 a*xi^2 + b*xi*eta + c*eta^2 = 0 with (a, b, c) = (F_u11, F_u12, F_u22); with
 lambda = eta/xi this is a + b*lambda + c*lambda^2 = 0, and lambda is the
 characteristic speed.  The root at infinity (c = 0) is handled through the
 coordinate swap x <-> y, under which lambda maps to 1/lambda.
+
+Each stage reads the jet that the divisibility test evaluated at a locus
+sample (SampleRecord.first and .second); equivalence_report runs them all on
+the samples of an n = 2 ExceptionalityVerdict.  char_poly_coeffs gives
+(a, b, c) at a single jet point.
 """
 
 from __future__ import annotations
@@ -18,19 +21,14 @@ import numpy as np
 
 from . import backend
 from .expr import EvaluationDomainError, Expr, JetPoint, symmetric_from_upper
-from .symbol import (DEFAULT_TOL, DEGENERATE_SYMBOL_TOL, SampleRecord, _checked,
-                     _first_partials, _point_partials, _second_partials,
-                     exceptionality_records, sample_zero_locus)
+from .symbol import (DEGENERATE_SYMBOL_TOL, ExceptionalityVerdict, _checked,
+                     _first_partials, _point_partials)
 
 HYPERBOLIC_TYPE_TOL = 1e-9   # |b^2-4ac| <= tol*(a^2+b^2+c^2) is parabolic
 NEAR_PARABOLIC_TOL = 1e-7    # relative floor for the b + 2c*lambda denominator
-DEFAULT_T_GRID_SIZE = 21
-DEFAULT_LAX_TOL = 1e-6
-DEFAULT_STRONG_TOL = 1e-8
-
-
-class TotallyDegenerateError(Exception):
-    """All three symbol coefficients vanish: no characteristic structure."""
+T_GRID_SIZE = 21             # points on each strong-test line
+LAX_TOL = 1e-6
+STRONG_TOL = 1e-8
 
 
 class NearParabolicError(Exception):
@@ -60,7 +58,7 @@ class CharSpeeds:
     """Characteristic roots and the discriminant type at one jet point.
 
     kind: "hyperbolic" (two distinct real roots), "parabolic" (double root),
-    "elliptic" (no real roots) or, inside charvar only, "totally-degenerate".
+    "elliptic" (no real roots) or "totally-degenerate" (a, b, c all vanish).
     Roots are sorted by affine speed ascending, infinite root last.
     """
 
@@ -76,10 +74,11 @@ class CharSpeeds:
 
 def char_poly_coeffs(F: Expr, pt: JetPoint) -> tuple[float, float, float]:
     """(a, b, c) = (dF/du11, dF/du12, dF/du22) at pt; these are exactly the
-    principal-symbol coefficients."""
+    principal-symbol coefficients.  Raises when one fails to evaluate or is
+    not finite."""
     if pt.n != 2:
         raise ValueError("characteristics are implemented for n = 2 only")
-    return tuple(_point_partials(_first_partials(F, 2), pt, finite=False).tolist())
+    return tuple(_point_partials(_first_partials(F, 2), pt).tolist())
 
 
 def _sorted_roots(roots: list[ProjectiveRoot]) -> tuple[ProjectiveRoot, ...]:
@@ -87,24 +86,14 @@ def _sorted_roots(roots: list[ProjectiveRoot]) -> tuple[ProjectiveRoot, ...]:
                                               r.affine if r.affine is not None else 0.0)))
 
 
-def characteristic_speeds(F: Expr, pt: JetPoint,
-                          type_tol: float = HYPERBOLIC_TYPE_TOL) -> CharSpeeds:
+def characteristic_speeds(a: float, b: float, c: float) -> CharSpeeds:
     """Projective roots of a*xi^2 + b*xi*eta + c*eta^2 = 0 with discriminant
-    typing.  Raises TotallyDegenerateError when (a, b, c) vanishes."""
-    speeds = _speeds(*char_poly_coeffs(F, pt), type_tol)
-    if speeds.kind == "totally-degenerate":
-        raise TotallyDegenerateError("all symbol coefficients vanish at this point")
-    return speeds
-
-
-def _speeds(a: float, b: float, c: float,
-            type_tol: float = HYPERBOLIC_TYPE_TOL) -> CharSpeeds:
-    """characteristic_speeds from (a, b, c), or kind "totally-degenerate"."""
+    typing; kind "totally-degenerate" when (a, b, c) vanishes."""
     scale2 = a * a + b * b + c * c
     if math.sqrt(scale2) <= DEGENERATE_SYMBOL_TOL:
         return CharSpeeds("totally-degenerate", 0.0, (a, b, c), ())
     disc = b * b - 4.0 * a * c
-    if disc > type_tol * scale2:
+    if disc > HYPERBOLIC_TYPE_TOL * scale2:
         sq = math.sqrt(disc)
         if c == 0.0:
             # one branch escapes to infinity; the finite root solves a + b*l = 0
@@ -113,26 +102,18 @@ def _speeds(a: float, b: float, c: float,
             q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else 0.5 * sq
             roots = [ProjectiveRoot(1.0, q / c), ProjectiveRoot(1.0, a / q)]
         return CharSpeeds("hyperbolic", disc, (a, b, c), _sorted_roots(roots))
-    if disc < -type_tol * scale2:
+    if disc < -HYPERBOLIC_TYPE_TOL * scale2:
         return CharSpeeds("elliptic", disc, (a, b, c), ())
     # with c = 0 the (nearly) coincident pair sits at infinity
     double = ProjectiveRoot(1.0, -0.5 * b / c) if c != 0.0 else ProjectiveRoot(0.0, 1.0)
     return CharSpeeds("parabolic", disc, (a, b, c), (double,))
 
 
-def speed_gradient(F: Expr, pt: JetPoint, branch: int
+def speed_gradient(speeds: CharSpeeds, D: np.ndarray, branch: int
                    ) -> tuple[float, float, float]:
     """(d lambda/du11, d lambda/du12, d lambda/du22) for a finite hyperbolic
-    root, by implicit differentiation of a + b*lambda + c*lambda^2 = 0."""
-    second = _point_partials(_second_partials(F, 2), pt, finite=False)
-    D = symmetric_from_upper(second, 3)
-    return _gradient(characteristic_speeds(F, pt), D, branch)
-
-
-def _gradient(speeds: CharSpeeds, D: np.ndarray, branch: int
-              ) -> tuple[float, float, float]:
-    """speed_gradient from the speeds and the second-partial matrix D over
-    the Hessian entries (u11, u12, u22)."""
+    root, by implicit differentiation of a + b*lambda + c*lambda^2 = 0.  D is
+    the matrix of second partials of F over (u11, u12, u22)."""
     if speeds.kind != "hyperbolic":
         raise ValueError(f"speed gradient needs a hyperbolic point, got {speeds.kind}")
     root = speeds.roots[branch]
@@ -149,34 +130,25 @@ def _gradient(speeds: CharSpeeds, D: np.ndarray, branch: int
     return (grads[0], grads[1], grads[2])
 
 
-def lax_residual(F: Expr, pt: JetPoint, branch: int) -> float:
+def lax_residual(speeds: CharSpeeds, D: np.ndarray, branch: int) -> float:
     """Lax's complete-exceptionality residual for one branch:
     lambda_u11 + lambda*lambda_u12 + lambda^2*lambda_u22.
 
     The root at infinity is evaluated in the coordinate-swapped chart, where
     it becomes the finite root lambda' = 0 of the swapped expression.
     """
-    second = _point_partials(_second_partials(F, 2), pt, finite=False)
-    D = symmetric_from_upper(second, 3)
-    return _lax(characteristic_speeds(F, pt), D, branch)
-
-
-def _lax(speeds: CharSpeeds, D: np.ndarray, branch: int) -> float:
-    """lax_residual from the speeds and the second-partial matrix."""
     if speeds.kind != "hyperbolic":
         raise ValueError(f"Lax residual needs a hyperbolic point, got {speeds.kind}")
     if speeds.roots[branch].is_infinite:
         # x <-> y swaps u11 and u22: that chart's jet is (c, b, a) with D
         # reversed, and the infinite root maps to its finite root nearest 0
+        # (c = 0 forces b != 0, so (0, b, a) has the finite root -0/b)
         a, b, c = speeds.coeffs
-        speeds, D = _speeds(c, b, a), D[::-1, ::-1]
-        finite = [(abs(r.affine), k) for k, r in enumerate(speeds.roots)
-                  if not r.is_infinite]
-        if not finite:
-            raise NearParabolicError("no finite root in the swapped chart")
-        _, branch = min(finite)
+        speeds, D = characteristic_speeds(c, b, a), D[::-1, ::-1]
+        _, branch = min((abs(r.affine), k) for k, r in enumerate(speeds.roots)
+                        if not r.is_infinite)
     lam = speeds.roots[branch].affine
-    g = _gradient(speeds, D, branch)
+    g = speed_gradient(speeds, D, branch)
     return g[0] + lam * g[1] + lam * lam * g[2]
 
 
@@ -188,45 +160,32 @@ class StrongCharResult:
     t_range: tuple[float, float]
 
 
-def strong_char_test(F: Expr, pt: JetPoint, branch: int, t_grid=None,
-                     tol: float = DEFAULT_STRONG_TOL, box=None) -> StrongCharResult:
-    """Containment test of the rank-one curve H + t*v*v^T inside {F = 0}.
+def strong_char_test(F: Expr, lines, box
+                     ) -> list[StrongCharResult | EvaluationDomainError]:
+    """Containment test of the rank-one curve H + t*v*v^T inside {F = 0} on
+    each (point, root) line, one batch per expression over all lines.
 
-    v = (1, lambda) for a finite branch, (0, 1) at infinity.  The default
-    grid is 21 points over [-1, 1], clipped so deformed Hessian entries stay
-    inside ``box`` when given.  The pass threshold is tol * scale where scale
-    is 1 plus the largest symbol-term magnitude sum_{i<=j} |F_u_ij * v_i v_j|
-    along the line (the size of the first-order term a non-characteristic
-    direction would produce).  Grid points outside F's domain are skipped;
-    EvaluationDomainError is raised only when F is defined at none of them.
+    v = (1, lambda) for a finite root, (0, 1) at infinity.  The grid is 21
+    points over [-1, 1], clipped so deformed Hessian entries stay inside
+    ``box``.  The pass threshold is STRONG_TOL * scale where scale is 1 plus
+    the largest symbol-term magnitude sum_{i<=j} |F_u_ij * v_i v_j| along the
+    line (the size of the first-order term a non-characteristic direction
+    would produce).  Grid points outside F's domain are skipped; a line
+    where F is defined at none of them gets its EvaluationDomainError.
     """
-    speeds = characteristic_speeds(F, pt)
-    if speeds.kind != "hyperbolic":
-        raise ValueError(f"strong-characteristic test needs a hyperbolic point, "
-                         f"got {speeds.kind}")
-    return _checked(_strong_tests(F, [(pt, speeds.roots[branch])], t_grid, tol, box)[0])
-
-
-def _strong_tests(F: Expr, lines, t_grid, tol: float, box
-                  ) -> list[StrongCharResult | EvaluationDomainError]:
-    """strong_char_test on each (point, root) line, one batch per expression
-    over all lines; a line where F is defined nowhere gets its error."""
     if not lines:
         return []
+    lo, hi = float(box[0]), float(box[1])
     grids, weights = [], []
     for pt, root in lines:
         v = np.array([0.0, 1.0] if root.is_infinite else [1.0, root.affine])
         weights.append([v[0] * v[0], v[0] * v[1], v[1] * v[1]])  # u11, u12, u22
         t_lo, t_hi = -1.0, 1.0
-        if box is not None:
-            lo, hi = float(box[0]), float(box[1])
-            for h, w in zip(pt.h_upper, weights[-1]):
-                if w != 0.0:
-                    bounds = sorted(((lo - h) / w, (hi - h) / w))
-                    t_lo, t_hi = max(t_lo, bounds[0]), min(t_hi, bounds[1])
-            t_lo, t_hi = min(t_lo, 0.0), max(t_hi, 0.0)
-        grids.append(np.linspace(t_lo, t_hi, DEFAULT_T_GRID_SIZE) if t_grid is None
-                     else np.asarray(t_grid, dtype=float))
+        for h, w in zip(pt.h_upper, weights[-1]):
+            if w != 0.0:
+                bounds = sorted(((lo - h) / w, (hi - h) / w))
+                t_lo, t_hi = max(t_lo, bounds[0]), min(t_hi, bounds[1])
+        grids.append(np.linspace(min(t_lo, 0.0), max(t_hi, 0.0), T_GRID_SIZE))
     grids, weights = np.array(grids), np.array(weights)
     # rows (line, t): the point with its Hessian moved to H + t*v*v^T
     rows = np.stack([np.tile(pt.to_vector(), (grids.shape[1], 1)) for pt, _ in lines])
@@ -245,7 +204,7 @@ def _strong_tests(F: Expr, lines, t_grid, tol: float, box
     max_dev = np.max(np.where(errs < 0, np.abs(vals), -np.inf), axis=1)
     scale = 1.0 + np.max(symbol_term, axis=1)
     return [backend.domain_error(F, 2, int(e[0])) if np.all(e >= 0) else
-            StrongCharResult(bool(d <= tol * s), float(d), float(s),
+            StrongCharResult(bool(d <= STRONG_TOL * s), float(d), float(s),
                              (float(g[0]), float(g[-1])))
             for d, s, e, g in zip(max_dev, scale, errs, grids)]
 
@@ -260,19 +219,8 @@ class HyperbolicityScan:
     fractions: dict
 
 
-def hyperbolicity_scan(F: Expr, samples) -> HyperbolicityScan:
-    """Discriminant type per sample (jet point or SampleRecord), with fractions."""
-    return _scan([_speeds(*r.first.tolist()) for r in _records(F, samples, DEFAULT_TOL)])
-
-
-def _records(F: Expr, samples, tol: float) -> list[SampleRecord]:
-    """The samples as SampleRecords; jet points are tested at tol here."""
-    if all(isinstance(s, SampleRecord) for s in samples):
-        return list(samples)
-    return [_checked(r) for r in exceptionality_records(F, 2, samples, tol)]
-
-
-def _scan(speeds) -> HyperbolicityScan:
+def hyperbolicity_scan(speeds) -> HyperbolicityScan:
+    """The kind of each CharSpeeds, with the fraction of each kind."""
     kinds = [sp.kind for sp in speeds]
     fractions = {k: kinds.count(k) / len(kinds) for k in sorted(set(kinds))} \
         if kinds else {}
@@ -317,21 +265,13 @@ class EquivalenceReport:
         return all(s.agreeing for s in self.samples)
 
 
-def equivalence_report(F: Expr, box=(-2.0, 2.0), count: int = 64, seed: int = 0,
-                       tol_div: float = 1e-7, tol_lax: float = DEFAULT_LAX_TOL,
-                       tol_strong: float = DEFAULT_STRONG_TOL,
-                       samples=None) -> EquivalenceReport:
-    """Cross-validate the three criteria on sampled hyperbolic locus points.
-
-    ``samples`` may supply pre-drawn on-locus points, or the SampleRecords
-    of is_completely_exceptional, whose jets and residuals are reused;
-    otherwise count points are sampled with the given box/seed.  Each
-    sample's jet and speeds serve all three criteria.
-    """
-    if samples is None:
-        samples = sample_zero_locus(F, 2, box=box, count=count, seed=seed)
-    records = _records(F, samples, tol_div)
-    speeds = [_speeds(*r.first.tolist()) for r in records]
+def equivalence_report(F: Expr, verdict: ExceptionalityVerdict, box
+                       ) -> EquivalenceReport:
+    """Cross-validate the three criteria on the hyperbolic samples of an
+    n = 2 divisibility verdict, whose jets, residuals and tolerance are
+    reused; each sample's jet and speeds serve all three criteria."""
+    records = verdict.samples
+    speeds = [characteristic_speeds(*r.first.tolist()) for r in records]
     skipped: dict[str, int] = {}
     tested, lines = [], []
     # overflowing symbols give inf and nan here, which the skip below catches
@@ -342,13 +282,13 @@ def equivalence_report(F: Expr, box=(-2.0, 2.0), count: int = 64, seed: int = 0,
                 continue
             D = symmetric_from_upper(rec.second, 3)
             try:
-                lax = tuple(_lax(sp, D, k) for k in range(2))
+                lax = tuple(lax_residual(sp, D, k) for k in range(2))
             except NearParabolicError:
                 skipped["near-parabolic"] = skipped.get("near-parabolic", 0) + 1
                 continue
             tested.append((rec, lax))
             lines += [(rec.point, root) for root in sp.roots]
-        strong_results = _strong_tests(F, lines, None, tol_strong, box)
+        strong_results = strong_char_test(F, lines, box)
     out = []
     for k, (rec, lax) in enumerate(tested):
         strong = [_checked(r) for r in strong_results[2 * k:2 * k + 2]]
@@ -358,10 +298,10 @@ def equivalence_report(F: Expr, box=(-2.0, 2.0), count: int = 64, seed: int = 0,
             continue
         out.append(EquivalenceSample(
             point=rec.point,
-            # the divisibility test's pass rule at tol_div
-            divisibility_pass=rec.residual <= tol_div,
+            # the divisibility test's pass rule at its tolerance
+            divisibility_pass=rec.residual <= verdict.tolerance,
             divisibility_residual=rec.residual,
-            lax_pass=all(abs(r) <= tol_lax for r in lax),
+            lax_pass=all(abs(r) <= LAX_TOL for r in lax),
             lax_residuals=(float(lax[0]), float(lax[1])),
             strong_pass=all(s.passed for s in strong),
             strong_deviations=deviations,
@@ -372,5 +312,5 @@ def equivalence_report(F: Expr, box=(-2.0, 2.0), count: int = 64, seed: int = 0,
                       for flag in (s.divisibility_pass, s.lax_pass, s.strong_pass))
         matrix[key] = matrix.get(key, 0) + 1
     return EquivalenceReport(tuple(out), skipped, matrix,
-                             {"divisibility": tol_div, "lax": tol_lax,
-                              "strong": tol_strong}, _scan(speeds))
+                             {"divisibility": verdict.tolerance, "lax": LAX_TOL,
+                              "strong": STRONG_TOL}, hyperbolicity_scan(speeds))

@@ -5,9 +5,10 @@
     cepde corpus --file corpus.json [--seed S] [--out PATH]
 
 Exit codes: 0 classified consistently / corpus matches, 1 usage or parse
-error (and corpus schema violations, n outside 2..4), 2 inconclusive, 3
-internal criterion disagreement, 4 corpus expectation mismatch (a corpus
-entry without a verdict is recorded as inconclusive and counts as one).
+error (and corpus schema violations, n outside 2..4, a --file that cannot be
+read or an --out that cannot be written), 2 inconclusive, 3 internal
+criterion disagreement, 4 corpus expectation mismatch (a corpus entry
+without a verdict is recorded as inconclusive and counts as one).
 No verdict means no reachable zero locus or F undefined where a criterion
 must evaluate it.
 """
@@ -78,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--samples", type=_in_range(int, lambda v: v >= 1, ">= 1"),
                      default=64)
     cls.add_argument("--box", type=_parse_box, default=(-2.0, 2.0),
-                     metavar="LO:HI", help="coordinate box (default -2:2)")
+                     metavar="LO:HI", help="coordinate box (default -2:2); "
+                     "a negative LO needs the = form, e.g. --box=-1:1")
     cls.add_argument("--tol", default=1e-7, type=_in_range(
         float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"))
     fmt = cls.add_mutually_exclusive_group()
@@ -93,11 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None):
+def _emit(text: str, out: Path | None) -> bool:
+    """Write text to stdout or to out; False, after an error line, when out
+    cannot be written."""
     if out is None:
         sys.stdout.write(text + "\n")
-    else:
+        return True
+    try:
         out.write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _caret_message(exc: ParseError) -> str:
@@ -129,7 +138,8 @@ def run_classify(args) -> int:
         return EXIT_INCONCLUSIVE
     text = (pretty_report(outcome.report) if args.pretty
             else canonical_json(outcome.report))
-    _emit(text, args.out)
+    if not _emit(text, args.out):
+        return EXIT_USAGE
     print(f"[cepde] classified in {outcome.duration:.2f}s "
           f"-> {outcome.report['overall_verdict']}", file=sys.stderr)
     return outcome.exit_code
@@ -193,10 +203,11 @@ def run_corpus(args) -> int:
     path = resolve_corpus_path(args.file)
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"error: corpus file not found: {args.file}", file=sys.stderr)
+    except OSError as exc:  # missing, a directory, or unreadable
+        print(f"error: cannot read corpus file {args.file}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: corpus file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     problems = validate_corpus(entries)
@@ -255,7 +266,8 @@ def run_corpus(args) -> int:
         "all_match": not mismatches,
         "entries": results,
     }
-    _emit(canonical_json(aggregate), args.out)
+    if not _emit(canonical_json(aggregate), args.out):
+        return EXIT_USAGE
     print(f"[cepde] corpus of {len(results)} entries in {total_time:.2f}s, "
           f"{aggregate['matched']} matched", file=sys.stderr)
     if mismatches:

@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -203,23 +202,6 @@ class JetPoint:
     @property
     def n(self) -> int:
         return len(self.x)
-
-    @staticmethod
-    def make(x: Iterable[float], u: float, p: Iterable[float], H) -> "JetPoint":
-        """Build from a full symmetric matrix H (upper triangle is stored)."""
-        H = np.asarray(H, dtype=float)
-        n = H.shape[0]
-        if H.shape != (n, n):
-            raise ValueError("H must be square")
-        if not np.allclose(H, H.T, rtol=0.0, atol=1e-12):
-            raise ValueError("H must be symmetric")
-        upper = tuple(float(H[i - 1, j - 1]) for i, j in hessian_pairs(n))
-        return JetPoint(tuple(float(v) for v in x), float(u),
-                        tuple(float(v) for v in p), upper)
-
-    def hessian(self) -> np.ndarray:
-        """Full symmetric matrix (mirrored from the stored upper triangle)."""
-        return symmetric_from_upper(self.h_upper, self.n)
 
     def to_vector(self) -> np.ndarray:
         """Values in variable_layout(n) order."""

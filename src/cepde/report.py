@@ -152,8 +152,7 @@ def classify_pde(expression: str, n: int, seed: int = 0, samples: int = 64,
     hyp = None
     equiv = None
     if n == 2:
-        equiv = charvar.equivalence_report(F, box=box, seed=seed, tol_div=tol,
-                                           samples=exc.samples)
+        equiv = charvar.equivalence_report(F, exc, box)
         hyp = {"fractions": {k: float(v) for k, v in equiv.scan.fractions.items()},
                "kinds": list(equiv.scan.kinds)}
 

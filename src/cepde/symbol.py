@@ -56,15 +56,15 @@ def _second_partials(F: Expr, n: int) -> tuple[Expr, ...]:
                  for p1 in range(len(names)) for p2 in range(p1, len(names)))
 
 
-def _partials(exprs, n: int, varmat: np.ndarray, finite: bool = True):
+def _partials(exprs, n: int, varmat: np.ndarray):
     """Values of exprs at the rows of varmat, one batch per expression, and
     per row None or the error of its first failing expression: a failed
-    evaluation or, when finite is set, a non-finite value."""
+    evaluation or a non-finite value."""
     vals = np.empty((len(varmat), len(exprs)))
     errors: list = [None] * len(varmat)
     for k, d in enumerate(exprs):
         vals[:, k], errs = backend.eval_batch(d, n, varmat)
-        for r in np.flatnonzero((errs >= 0) | (finite & ~np.isfinite(vals[:, k]))):
+        for r in np.flatnonzero((errs >= 0) | ~np.isfinite(vals[:, k])):
             if errors[r] is None:
                 errors[r] = (EvaluationDomainError("non-finite symbol coefficient", d)
                              if errs[r] < 0 else backend.domain_error(d, n, errs[r]))
@@ -78,9 +78,9 @@ def _checked(result):
     return result
 
 
-def _point_partials(exprs, pt: JetPoint, finite: bool = True) -> np.ndarray:
+def _point_partials(exprs, pt: JetPoint) -> np.ndarray:
     """The values of exprs at one point; raises its first error."""
-    vals, errors = _partials(exprs, pt.n, pt.to_vector()[None, :], finite)
+    vals, errors = _partials(exprs, pt.n, pt.to_vector()[None, :])
     _checked(errors[0])
     return vals[0]
 

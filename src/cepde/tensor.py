@@ -33,11 +33,6 @@ def quartic_combos(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(combinations_with_replacement(range(n), 4))
 
 
-@lru_cache(maxsize=32)
-def _quartic_index(n: int) -> dict:
-    return {c: k for k, c in enumerate(quartic_combos(n))}
-
-
 def _combo_exponents(combo, n: int) -> tuple[int, ...]:
     exp = [0] * n
     for i in combo:
@@ -121,25 +116,16 @@ def multiply_quadratics(a: QuadraticForm, b: QuadraticForm) -> QuarticForm:
     """Plain polynomial product of two quadratic forms."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
-    index = _quartic_index(n)
-    out = np.zeros(len(quartic_combos(n)))
-    pairs = quadratic_pairs(n)
-    for ca, (i, j) in zip(a.coeffs, pairs):
-        if ca == 0.0:
-            continue
-        for cb, (k, l) in zip(b.coeffs, pairs):
-            if cb == 0.0:
-                continue
-            out[index[tuple(sorted((i, j, k, l)))]] += ca * cb
-    return QuarticForm(n, out)
+    out = np.zeros(len(quartic_combos(a.n)))
+    np.add.at(out, _product_index(a.n), np.outer(a.coeffs, b.coeffs))
+    return QuarticForm(a.n, out)
 
 
 @lru_cache(maxsize=32)
 def _product_index(n: int) -> np.ndarray:
     """Entry [a, b]: the quartic_combos slot of the product of the monomials
     of quadratic pairs a and b."""
-    index = _quartic_index(n)
+    index = {c: k for k, c in enumerate(quartic_combos(n))}
     pairs = quadratic_pairs(n)
     return np.array([[index[tuple(sorted(p + q))] for q in pairs] for p in pairs])
 

@@ -4,7 +4,8 @@ Each oracle recomputes a quantity through a route the production code never
 takes: a direct tree-walk evaluator, central finite differences, order-2
 Taylor (jet) arithmetic for rank-one directional derivatives, exact
 multivariate long division, coefficient recovery from sampled values, and
-compound matrices and adjugates built one submatrix at a time.
+compound matrices and adjugates built one submatrix at a time.  It also
+builds jet points from full Hessian matrices and back, which only tests do.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from cepde.expr import Binary, Const, Expr, JetPoint, Power, Unary, Var
+from cepde.expr import (Binary, Const, Expr, JetPoint, Power, Unary, Var,
+                        hessian_pairs)
 from cepde.tensor import QuadraticForm, QuarticForm, quadratic_pairs, quartic_combos
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,28 @@ def point_values(pt: JetPoint) -> dict:
     from cepde.expr import variable_layout
 
     return dict(zip(variable_layout(pt.n), pt.to_vector()))
+
+
+def make_jetpoint(x, u: float, p, H) -> JetPoint:
+    """The jet point with Hessian H, a full symmetric matrix (its upper
+    triangle is stored)."""
+    H = np.asarray(H, dtype=float)
+    n = H.shape[0]
+    if H.shape != (n, n):
+        raise ValueError("H must be square")
+    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12):
+        raise ValueError("H must be symmetric")
+    upper = tuple(float(H[i - 1, j - 1]) for i, j in hessian_pairs(n))
+    return JetPoint(tuple(float(v) for v in x), float(u),
+                    tuple(float(v) for v in p), upper)
+
+
+def hessian(pt: JetPoint) -> np.ndarray:
+    """The full symmetric Hessian of pt, mirrored from its upper triangle."""
+    H = np.empty((pt.n, pt.n))
+    for (i, j), h in zip(hessian_pairs(pt.n), pt.h_upper):
+        H[i - 1, j - 1] = H[j - 1, i - 1] = h
+    return H
 
 
 # ---------------------------------------------------------------------------

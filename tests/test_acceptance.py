@@ -11,16 +11,15 @@ import time
 import numpy as np
 
 import cepde
-from cepde.charvar import (NearParabolicError, characteristic_speeds,
-                           equivalence_report, speed_gradient)
+from cepde.charvar import NearParabolicError, equivalence_report, speed_gradient
 from cepde.expr import Binary, JetPoint, parse, to_text
 from cepde.ma import classify
-from cepde.symbol import (is_completely_exceptional, sample_zero_locus,
-                          second_symbol)
+from cepde.symbol import (DEFAULT_BOX, is_completely_exceptional,
+                          sample_zero_locus, second_symbol)
 from cepde.tensor import minor_basis
 from conftest import random_jetpoint
 from oracles import adjugate, compound
-from test_charvar import fd_speed_gradient
+from test_charvar import at_point, fd_speed_gradient, speeds_at
 from test_expr import fd_pairs
 
 MA_FAMILY = ("linear", "quasi-linear", "monge-ampere")
@@ -68,13 +67,14 @@ def test_criterion_2_three_way_equivalence(corpus_entries):
             if len(samples) < 50:
                 ok = False
                 print(f"  {entry['name']}: only {len(samples)} locus samples")
-            rep = equivalence_report(F, seed=42, tol_div=1e-7, tol_lax=1e-6,
-                                     tol_strong=1e-8, samples=samples)
+            exc = is_completely_exceptional(F, entry["n"], seed=42, tol=1e-7)
+            rep = equivalence_report(F, exc, DEFAULT_BOX)
+            ok = ok and rep.tolerances == {"divisibility": 1e-7, "lax": 1e-6,
+                                           "strong": 1e-8}
             if not rep.all_agree:
                 ok = False
                 print(f"  {entry['name']}: {len(rep.disagreements)} disagreements")
             cls = classify(F, entry["n"], seed=42)
-            exc = is_completely_exceptional(F, entry["n"], seed=42)
             if (cls.classification in MA_FAMILY) != (exc.verdict == "exceptional"):
                 ok = False
                 print(f"  {entry['name']}: classifier/exceptionality mismatch")
@@ -132,16 +132,15 @@ def test_criterion_5_speed_gradient_oracle(corpus_entries):
                 pts = sample_zero_locus(F, 2, count=256, seed=42)
             except cepde.SamplingError:
                 continue
-            hyp = [p for p in pts
-                   if characteristic_speeds(F, p).kind == "hyperbolic"]
+            hyp = [p for p in pts if speeds_at(F, p).kind == "hyperbolic"]
             if len(hyp) < 50:
                 continue  # no 50 hyperbolic points exist on this locus
             for pt in hyp[:50]:
-                for b, root in enumerate(characteristic_speeds(F, pt).roots):
+                for b, root in enumerate(speeds_at(F, pt).roots):
                     if root.is_infinite:
                         continue
                     try:
-                        sym = speed_gradient(F, pt, b)
+                        sym = speed_gradient(*at_point(F, pt), b)
                     except NearParabolicError:
                         continue
                     fd = fd_speed_gradient(F, pt, b, h=1e-5)
@@ -151,9 +150,9 @@ def test_criterion_5_speed_gradient_oracle(corpus_entries):
                         ok = False
                         print(f"  {entry['name']}: FD mismatch {rel:.2e}")
         # pinned value: F = u11 - u22^3/3 - u22 at u22 = 1, branch +
-        g = speed_gradient(parse("u11 - u22^3/3 - u22", 2),
-                           JetPoint((0.0, 0.0), 0.0, (0.0, 0.0),
-                                    (4.0 / 3.0, 0.0, 1.0)), branch=1)
+        g = speed_gradient(*at_point(parse("u11 - u22^3/3 - u22", 2),
+                                     JetPoint((0.0, 0.0), 0.0, (0.0, 0.0),
+                                              (4.0 / 3.0, 0.0, 1.0))), branch=1)
         ok = ok and abs(g[2] - (-(2.0 ** -1.5))) <= 1e-6
     _verdict(5, "speed gradients match finite differences", ok, t)
 
@@ -173,8 +172,8 @@ def test_criterion_6_representative_invariance(corpus_entries):
                     print(f"  {entry['name']} * {g_text}: verdict "
                           f"{scaled.verdict} != {base.verdict}")
                 for pt in pts:
-                    sp = characteristic_speeds(F, pt)
-                    sp_g = characteristic_speeds(gF, pt)
+                    sp = speeds_at(F, pt)
+                    sp_g = speeds_at(gF, pt)
                     if sp.kind != sp_g.kind:
                         ok = False
                         continue

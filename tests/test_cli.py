@@ -312,6 +312,31 @@ class TestCorpusCommand:
         assert resolve_corpus_path("bundled.json") == Path(bundled_corpus_path())
 
 
+def _not_utf8_corpus(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'[{"name": "caf\xe9"}]')
+    return ["corpus", "--file", str(path)]
+
+
+FILE_ERRORS = {
+    "classify-out-in-missing-dir": lambda tmp: [
+        "classify", "--pde", "u11+u22", "--n", "2",
+        "--out", str(tmp / "missing" / "r.json")],
+    "corpus-out-in-missing-dir": lambda tmp: [
+        "corpus", "--file", "bundled.json", "--out", str(tmp / "missing" / "a.json")],
+    "corpus-file-is-directory": lambda tmp: ["corpus", "--file", str(tmp)],
+    "corpus-file-not-utf8": _not_utf8_corpus,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_file_error_is_usage_error(capsys, tmp_path, case):
+    assert run(FILE_ERRORS[case](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 class TestValidateCorpus:
     def test_accepts_bundled(self):
         entries = json.loads(Path(bundled_corpus_path()).read_text())

@@ -1,11 +1,13 @@
 """Guards on the checkout itself: git tracks no file that .gitignore lists,
 the package exports what its __all__ names and keeps no unused private
-helper, and the benchmark harness still runs against the package's current
-names."""
+helper, the README's command lines run, and the benchmark harness still runs
+against the package's current names."""
 
 import ast
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -81,3 +83,49 @@ def test_benchmark_harness_smoke():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("cepde classify")
+            or line.startswith("cepde corpus --file bundled.json")]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    from cepde.cli import main
+
+    lines = _readme_cli_lines()
+    assert len(lines) == 4
+    for k, argv in enumerate(lines):
+        if "--out" in argv:
+            argv = argv[:argv.index("--out")] + argv[argv.index("--out") + 2:]
+        out = tmp_path / f"{k}.out"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        assert out.stat().st_size > 0
+
+
+def test_tracer_counts_the_characteristic_stages():
+    # the benchmark's tracer wraps cepde's public names, so it counts a
+    # characteristic stage only when the pipeline runs it under that name
+    import importlib.util
+
+    import cepde.cli  # noqa: F401  (the tracer patches every cepde module)
+    from cepde import report
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        outcome = report.classify_pde("u11 - u22^3/3 - u22", 2)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.drain().items()}
+    samples = outcome.report["exceptionality"]["sample_count"]
+    assert calls.get("charvar.characteristic_speeds", 0) >= samples > 0
+    for stage in ("lax_residual", "strong_char_test", "hyperbolicity_scan"):
+        assert calls.get(f"charvar.{stage}", 0) >= 1, stage
