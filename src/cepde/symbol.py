@@ -32,7 +32,9 @@ DEFAULT_TOL = 1e-7
 
 _BRACKET_GRID = 33
 _MAX_ATTEMPTS = 50
-_BLOCK = 64  # candidates solved together: 64 * 33 rows per bracket batch
+# candidates in the first block, and per bracket-grid batch (64 * 33 rows);
+# a later block is sized by the yield so far, at most _BLOCK * _MAX_ATTEMPTS
+_BLOCK = 64
 
 
 class SamplingError(Exception):
@@ -115,8 +117,10 @@ def second_symbol(F: Expr, pt: JetPoint) -> QuarticForm:
 
 def _solve_block(F: Expr, n: int, cand, pivots, lo: float, hi: float) -> np.ndarray:
     """Solve F = 0 for Hessian entry pivots[r] of each candidate row r in
-    [lo, hi] by grid bracketing, bisection and Newton polish, one batch per
-    step over the rows in play.  Writes the roots into cand; returns flags."""
+    [lo, hi] by grid bracketing, bisection and Newton polish.  The grid is
+    evaluated in batches of _BLOCK candidates, each reduced at once to its
+    bracket; bisection and Newton then take one batch per step over every
+    row of the block in play.  Writes the roots into cand; returns flags."""
     k = len(cand)
     cols = 2 * n + 1 + pivots  # the Hessian entries end variable_layout(n)
 
@@ -125,18 +129,34 @@ def _solve_block(F: Expr, n: int, cand, pivots, lo: float, hi: float) -> np.ndar
         mat[np.arange(len(rows)), cols[rows]] = h
         return backend.eval_batch(e, n, mat)[0]
     grid = np.linspace(lo, hi, _BRACKET_GRID)
-    vals = at(F, np.arange(k).repeat(_BRACKET_GRID), np.tile(grid, k)).reshape(k, -1)
-    ok = np.isfinite(vals)
-    scale = np.max(np.abs(np.where(ok, vals, 0.0)), axis=1)
-    # exact hits on the grid
-    hit = ok & (np.abs(vals) <= 1e-14 * (1.0 + scale)[:, None])
-    exact = hit.any(axis=1)
-    root = grid[np.argmax(hit, axis=1)]
-    # first sign change between adjacent valid grid points
-    change = ok[:, :-1] & ok[:, 1:] & (vals[:, :-1] * vals[:, 1:] < 0.0)
-    first = np.argmax(change, axis=1)
-    a, b, fa = grid[first], grid[first + 1], vals[np.arange(k), first]
-    bracketed = idx = np.flatnonzero(~exact & change.any(axis=1))
+    # F is constant along a pivot its tape never reads: there one row stands
+    # for the whole grid, bit for bit
+    tape = backend.compiled_tape(F, n)
+    read = np.zeros(cand.shape[1], dtype=bool)
+    read[[a for op, a in zip(tape.codes, tape.a) if op == backend.OP_VAR]] = True
+    read = read[cols]
+    scale, root, a, b, fa = (np.empty(k) for _ in range(5))
+    exact, has_bracket = np.empty(k, dtype=bool), np.empty(k, dtype=bool)
+    for c in range(0, k, _BLOCK):
+        rows = np.arange(c, min(c + _BLOCK, k))
+        # rows of flat: the grid for a read pivot, its first point otherwise
+        reps = np.where(read[rows], _BRACKET_GRID, 1)
+        starts = np.cumsum(reps) - reps
+        flat = at(F, rows.repeat(reps), grid[np.arange(reps.sum()) - starts.repeat(reps)])
+        vals = flat[starts[:, None] + read[rows, None] * np.arange(_BRACKET_GRID)]
+        ok = np.isfinite(vals)
+        scale[rows] = np.max(np.abs(np.where(ok, vals, 0.0)), axis=1)
+        # exact hits on the grid
+        hit = ok & (np.abs(vals) <= 1e-14 * (1.0 + scale[rows])[:, None])
+        exact[rows] = hit.any(axis=1)
+        root[rows] = grid[np.argmax(hit, axis=1)]
+        # first sign change between adjacent valid grid points
+        change = ok[:, :-1] & ok[:, 1:] & (vals[:, :-1] * vals[:, 1:] < 0.0)
+        first = np.argmax(change, axis=1)
+        a[rows], b[rows] = grid[first], grid[first + 1]
+        fa[rows] = vals[np.arange(len(rows)), first]
+        has_bracket[rows] = change.any(axis=1)
+    bracketed = idx = np.flatnonzero(~exact & has_bracket)
     failed = np.zeros(k, dtype=bool)
     for _ in range(40):
         if not idx.size:
@@ -187,10 +207,13 @@ def sample_zero_locus(F: Expr, n: int, box=DEFAULT_BOX, count: int = DEFAULT_COU
 
     All coordinates are uniform in the box except one pivot Hessian entry
     (cycled across attempts), which is solved for by bracketing plus Newton
-    refinement; failed draws are retried up to 50 times per sample (replayed
-    in draw order on blocks of candidates solved together).  Deterministic
-    for a given seed.  Raises SamplingError when fewer than count/2 samples
-    are found.
+    refinement; failed draws are retried up to 50 times per sample.
+    Candidates are solved together in blocks: the first holds _BLOCK, each
+    later one enough to fill the open slots at the yield seen so far, at
+    most _BLOCK * _MAX_ATTEMPTS and never more than the open slots may still
+    try.  The outcomes are replayed in draw order, so the samples do not
+    depend on the block sizes.  Deterministic for a given seed.  Raises
+    SamplingError when fewer than count/2 samples are found.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -201,11 +224,12 @@ def sample_zero_locus(F: Expr, n: int, box=DEFAULT_BOX, count: int = DEFAULT_COU
     nvars, npivots = len(variable_layout(n)), len(hessian_pairs(n))
     points: list[JetPoint] = []
     slot = tries = drawn = 0
+    size = _BLOCK
     while slot < count:
-        # bit for bit the draws of _BLOCK calls of size nvars
-        cand = rng.uniform(lo, hi, size=(_BLOCK, nvars))
-        pivots = (drawn + np.arange(_BLOCK)) % npivots
-        drawn += _BLOCK
+        # bit for bit the draws of `size` calls of size nvars
+        cand = rng.uniform(lo, hi, size=(size, nvars))
+        pivots = (drawn + np.arange(size)) % npivots
+        drawn += size
         with np.errstate(all="ignore"):
             solved = _solve_block(F, n, cand, pivots, lo, hi)
         for row, ok in zip(cand, solved):
@@ -216,6 +240,11 @@ def sample_zero_locus(F: Expr, n: int, box=DEFAULT_BOX, count: int = DEFAULT_COU
                 slot, tries = slot + 1, 0
             if slot == count:
                 break
+        # enough draws to fill the open slots at the yield so far (rounded
+        # up), but no more than they may still try
+        open_slots = count - slot
+        size = min(max(_BLOCK, -(-open_slots * drawn // max(len(points), 1))),
+                   open_slots * _MAX_ATTEMPTS - tries, _BLOCK * _MAX_ATTEMPTS)
     if len(points) < count / 2:
         raise SamplingError(
             f"found only {len(points)} of {count} requested zero-locus samples; "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cepde import backend, symbol
 from cepde.expr import Binary, JetPoint, parse
 from cepde.symbol import (SamplingError, exceptionality_at_point,
                           is_completely_exceptional, principal_symbol,
@@ -131,19 +132,58 @@ class TestSampleZeroLocus:
         ("sqrt(u11) - 1", 2),
         ("sin(exp(400*u11)) + u22", 2),
         (DET3, 3),
+        ("u11^2 + u22^2 + 1", 2),  # empty: blocks of the largest size
+        ("log(exp(u1)) - u1", 2),  # F reads no pivot
     ])
     def test_matches_one_candidate_at_a_time(self, text, n):
-        # the block solver picks the very samples of the scalar loop
+        # the block solver picks the very samples of the scalar loop, at
+        # every count and so every sequence of block sizes
         F = parse(text, n)
-        for seed in range(3):
-            want = scalar_zero_locus(F, n, seed=seed)
+        runs = self.RUNS.get(text, [(64, seed) for seed in range(3)])
+        for count, seed in runs:
+            want = scalar_zero_locus(F, n, count=count, seed=seed)
             if want is None:
                 with pytest.raises(SamplingError):
-                    sample_zero_locus(F, n, seed=seed)
+                    sample_zero_locus(F, n, count=count, seed=seed)
                 continue
-            got = sample_zero_locus(F, n, seed=seed)
+            got = sample_zero_locus(F, n, count=count, seed=seed)
             assert np.array_equal([p.to_vector() for p in got],
-                                  [p.to_vector() for p in want]), (text, seed)
+                                  [p.to_vector() for p in want]), (text, count, seed)
+
+    # (count, seed) runs other than count 64 at seeds 0-2: thin loci from
+    # one sample to several blocks, and an empty locus whose blocks reach
+    # _BLOCK * _MAX_ATTEMPTS
+    THIN_RUNS = [(count, seed) for count in (1, 16, 64) for seed in range(3)] + [(200, 0)]
+    RUNS = {"u11*u22 - u12^2 - 3": THIN_RUNS, "u11^2 + u22^2 - 0.01": THIN_RUNS,
+            "u11^2 + u22^2 + 1": [(100, 0)]}
+
+    def test_thin_locus_takes_few_small_batches(self, monkeypatch):
+        sizes = []
+        eval_batch = backend.eval_batch
+
+        def counted(e, n, varmat):
+            sizes.append(len(varmat))
+            return eval_batch(e, n, varmat)
+        monkeypatch.setattr(backend, "eval_batch", counted)
+        sample_zero_locus(parse("u11^2 + u22^2 - 0.01", 2), 2, seed=0)
+        assert len(sizes) <= 250  # 644 with fixed blocks of 64 candidates
+        assert max(sizes) <= 64 * 33  # one bracket grid of 64 candidates
+
+    def test_block_size_is_capped(self, monkeypatch):
+        class Stop(Exception):
+            pass
+        sizes = []
+        solve_block = symbol._solve_block
+
+        def recorded(F, n, cand, *args):
+            sizes.append(len(cand))
+            if len(sizes) == 3:
+                raise Stop
+            return solve_block(F, n, cand, *args)
+        monkeypatch.setattr(symbol, "_solve_block", recorded)
+        with pytest.raises(Stop):
+            sample_zero_locus(parse("u11^2 + u22^2 - 0.01", 2), 2, count=10**6)
+        assert sizes[0] == 64 and max(sizes) <= 64 * 50
 
 
 class TestExceptionalityAtPoint:
